@@ -106,25 +106,31 @@ class StiefelWhitneyRing:
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
         """All monomials of the exact degree, graded-lex ordered."""
-        if degree < 0:
-            return []
-        gens = sorted(self.generators_up_to(degree), key=lambda g: (g[1], g[0]))
+        return list(_monomial_basis(self, degree))
 
-        def build(remaining: int, pos: int) -> list[list[tuple[Gen, int]]]:
-            if remaining == 0:
-                return [[]]
-            if pos >= len(gens):
-                return []
-            out = []
-            idx = gens[pos]
-            weight = idx[0]
-            max_e = remaining // weight
-            for e in range(max_e, -1, -1):
-                for tail in build(remaining - e * weight, pos + 1):
-                    out.append(([(idx, e)] if e else []) + tail)
-            return out
 
-        return [tuple(sorted(m)) for m in build(degree, 0)]
+@lru_cache(maxsize=None)
+def _monomial_basis(ring: StiefelWhitneyRing, degree: int) -> tuple[Monomial, ...]:
+    if degree < 0:
+        return ()
+    gens = sorted(ring.generators_up_to(degree), key=lambda g: (g[1], g[0]))
+
+    # Monomials of weight `remaining` in gens[pos:], highest exponent of
+    # gens[pos] first; shared tails are built once.
+    @lru_cache(maxsize=None)
+    def build(remaining: int, pos: int) -> tuple[Monomial, ...]:
+        if remaining == 0:
+            return (UNIT,)
+        if pos >= len(gens):
+            return ()
+        gen = gens[pos]
+        out: list[Monomial] = []
+        for e in range(remaining // gen[0], -1, -1):
+            head = ((gen, e),) if e else UNIT
+            out.extend(head + tail for tail in build(remaining - e * gen[0], pos + 1))
+        return tuple(out)
+
+    return tuple(tuple(sorted(m)) for m in build(degree, 0))
 
 
 class F2Polynomial:
@@ -223,20 +229,45 @@ def _sq_generator(ring: StiefelWhitneyRing, k: int, gen: Gen) -> frozenset[Monom
 
 
 @lru_cache(maxsize=None)
+def _sq_power(ring: StiefelWhitneyRing, gen: Gen, e: int, i: int) -> frozenset[Monomial]:
+    """Sq^i of the power gen^e, the degree-i part of the total square
+    Sq(gen^e) = Sq(gen)^e: Frobenius halves an even exponent, since
+    Sq^{2j}(x^2) = (Sq^j x)^2 and the odd squares of x^2 vanish; an odd
+    exponent takes one Cartan step against Wu's formula on gen."""
+    if i == 0:
+        return frozenset({((gen, e),)})
+    if i > gen[0] * e:
+        return frozenset()
+    if e == 1:
+        return _sq_generator(ring, i, gen)
+    if e % 2 == 0:
+        if i % 2:
+            return frozenset()
+        return frozenset(tuple((g, 2 * f) for g, f in m)
+                         for m in _sq_power(ring, gen, e // 2, i // 2))
+    acc: set[Monomial] = set()
+    for a in range(max(0, i - gen[0] * (e - 1)), min(i, gen[0]) + 1):
+        left = _sq_generator(ring, a, gen)
+        if not left:
+            continue
+        right = _sq_power(ring, gen, e - 1, i - a)
+        for x in left:
+            for y in right:
+                acc.symmetric_difference_update({_mono_mul(x, y)})
+    return frozenset(acc)
+
+
+@lru_cache(maxsize=None)
 def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[Monomial]:
     if k == 0:
         return frozenset({mono})
-    if mono == UNIT:
-        return frozenset()
     if k > monomial_degree(mono):
         return frozenset()
-    # peel one generator off and apply the Cartan rule
-    gen, e = mono[0]
-    rest = _mono_mul(mono[1:], ((gen, e - 1),)) if e > 1 else mono[1:]
+    # peel the whole power of the first generator and apply the Cartan rule
+    (gen, e), rest = mono[0], mono[1:]
     acc: set[Monomial] = set()
-    top = min(k, gen[0])
-    for i in range(0, top + 1):
-        left = _sq_generator(ring, i, gen)
+    for i in range(max(0, k - monomial_degree(rest)), min(k, gen[0] * e) + 1):
+        left = _sq_power(ring, gen, e, i)
         if not left:
             continue
         right = _sq_monomial(ring, k - i, rest)
@@ -273,10 +304,10 @@ def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
         raise ValueError("max_degree must be nonnegative")
     nu = [ring.one()]
     for k in range(1, max_degree + 1):
-        total = ring.w(k)
+        terms = set(ring.w(k).terms)
         for i in range(1, k):
-            total = total + sq(i, nu[k - i])
-        nu.append(total)
+            terms ^= sq(i, nu[k - i]).terms
+        nu.append(F2Polynomial(ring, frozenset(terms)))
     return nu
 
 
@@ -473,7 +504,11 @@ class GradedIdeal:
         sl = self.slice(degree)
         mask = (1 << sl.width) - 1
         row = self._reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask) & mask
-        monos = [sl.monomials[i] for i in range(sl.width) if row & (1 << i)]
+        monos = []
+        while row:
+            low = row & -row
+            monos.append(sl.monomials[low.bit_length() - 1])
+            row ^= low
         return self.ring.from_monomials(monos)
 
 
@@ -611,22 +646,16 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
         sl = ideal.slice(degree)
         return [m for i, m in enumerate(sl.monomials) if i not in sl.pivots]
 
-    def to_quotient_coords(p: F2Polynomial, degree: int, monos: list[Monomial]) -> int:
-        reduced = ideal.reduce(p)
-        pos = {m: i for i, m in enumerate(monos)}
-        bits = 0
-        for mono in reduced.terms:
-            bits ^= 1 << pos[mono]
-        return bits
-
     bases = {d: basis(d) for d in range(0, max_degree + 2)}
     ranks: dict[int, int] = {}
     for d in range(0, max_degree + 1):
         rows = []
-        target = bases[d + 1]
+        pos = {m: i for i, m in enumerate(bases[d + 1])}
         for mono in bases[d]:
-            image = sq(1, ring.from_monomials([mono]))
-            rows.append(to_quotient_coords(image, d + 1, target))
+            bits = 0
+            for image in ideal.reduce(sq(1, ring.from_monomials([mono]))).terms:
+                bits ^= 1 << pos[image]
+            rows.append(bits)
         # rank of the Sq1 matrix out of degree d
         pivots: dict[int, int] = {}
         kept: list[int] = []

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinhalg
 from spinhalg.cli import main
 from spinhalg.schemas import SchemaError, load_schema, validate
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -158,6 +166,26 @@ class TestSteenrodCommands:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", "x1")
         assert code == 1 and "error[" in err
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("verify-bspinh", "--max-degree", "16", "--format", "json"), "verify_bspinh_16.json"),
+        (("verify-bspinh", "--max-degree", "24", "--format", "json"), "verify_bspinh_24.json"),
+        (("wu", "--max-degree", "20"), "wu_20.txt"),
+    ])
+    def test_golden_output(self, capsys, argv, golden):
+        code, out, _ = run(capsys, "steenrod", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_sq_of_a_high_power(self):
+        # the Cartan expansion must not recurse once per unit of exponent
+        env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinhalg.cli", "steenrod", "sq", "--k", "1",
+             "--poly", "w2^2000"], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"
+        assert "Traceback" not in proc.stderr
 
 
 class TestKtableCommand:

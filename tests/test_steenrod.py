@@ -1,9 +1,14 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhalg.steenrod import (
+    UNIT,
     DegreeCapExceeded,
     GradedIdeal,
     StiefelWhitneyRing,
@@ -104,6 +109,108 @@ class TestCartan:
             assert sq(d, p) == p * p
             assert sq(d + 1, p).is_zero()
             assert sq(d + 3, p).is_zero()
+
+
+@lru_cache(maxsize=None)
+def wu_reference(i, j):
+    """Sq^i(w_j) for i <= j from Wu's formula as printed in Milnor-Stasheff
+    §8, sum_t binom(j - i + t - 1, t) w_{i-t} w_{j+t}, binomials by sympy."""
+    total = RING.zero()
+    for t in range(i + 1):
+        if sympy.binomial(j - i + t - 1, t) % 2:
+            total = total + RING.w(i - t) * RING.w(j + t)
+    return total
+
+
+def graded_product(a, b):
+    """Product of two lists of graded parts, truncated to the shorter one."""
+    top = min(len(a), len(b))
+    out = [RING.zero()] * top
+    for d, x in enumerate(a[:top]):
+        if not x.is_zero():
+            for c, y in enumerate(b[:top - d]):
+                out[d + c] = out[d + c] + x * y
+    return out
+
+
+def total_square_of_generator(j, top):
+    """Graded parts 0..top of Sq(w_j)."""
+    return [wu_reference(a, j) if a <= j else RING.zero() for a in range(top + 1)]
+
+
+def frobenius(p, m):
+    """p^(2^m), by doubling exponents m times."""
+    return RING.from_monomials(tuple((g, e << m) for g, e in mono) for mono in p.terms)
+
+
+class TestCartanReference:
+    def test_monomials_against_unit_expansion(self):
+        # the Cartan rule applied one generator factor at a time
+        rng = random.Random(2024)
+        for _ in range(20):
+            gens = rng.sample(range(2, 9), rng.randint(1, 4))
+            exps = {j: rng.randint(1, 12) for j in gens}
+            top = rng.randint(1, 20)
+            mono = RING.from_monomials([tuple(sorted(((j, 0), e) for j, e in exps.items()))])
+            reference = [RING.one()] + [RING.zero()] * top
+            for j, e in exps.items():
+                for _ in range(e):
+                    reference = graded_product(reference, total_square_of_generator(j, top))
+            for k in range(top + 1):
+                assert sq(k, mono) == reference[k], (k, mono)
+
+    def test_frobenius_identities(self):
+        rng = random.Random(77)
+        for _ in range(25):
+            x = random_polynomial(rng, RING, max_degree=9)
+            for i in range(x.degree() + 2):
+                assert sq(2 * i, x * x) == sq(i, x) * sq(i, x)
+                assert sq(2 * i + 1, x * x).is_zero()
+
+    @pytest.mark.parametrize("j", [2, 3, 7])
+    @pytest.mark.parametrize("e", [2000, 2047, 3001, 4095, 4096])
+    def test_large_powers(self, j, e):
+        # Sq(w_j^e) is the product over the binary digits 2^m of e of
+        # Sq(w_j)^(2^m), whose degree-(a 2^m) part is the m-fold Frobenius
+        # of Sq^a(w_j).
+        top = 20
+        reference = [RING.one()] + [RING.zero()] * top
+        for m in range(e.bit_length()):
+            if e >> m & 1:
+                factor = [RING.zero()] * (top + 1)
+                for a, part in enumerate(total_square_of_generator(j, top >> m)):
+                    factor[a << m] = frobenius(part, m)
+                reference = graded_product(reference, factor)
+        power = RING.w(j) ** e
+        for k in (1, 2, 3, 4, 8, 13, 16, 20):
+            assert sq(k, power) == reference[k], (j, e, k)
+
+    def test_squares_of_a_power_of_two(self):
+        x = RING.w(2) ** 4096
+        assert sq(1, RING.w(2) ** 2000).is_zero()
+        assert sq(16, x).is_zero()
+        assert sq(4096, x) == RING.w(3) ** 4096
+        assert sq(8192, x) == x * x
+        assert sq(8193, x).is_zero()
+
+
+monomial_lists = st.lists(st.lists(st.integers(2, 8), min_size=0, max_size=3),
+                          min_size=1, max_size=3)
+
+
+def poly_from_lists(lists):
+    return sum((w(*factors) for factors in lists), RING.zero())
+
+
+class TestCartanProperty:
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(monomial_lists, monomial_lists, st.integers(0, 12))
+    def test_cartan(self, p_lists, q_lists, k):
+        p, q = poly_from_lists(p_lists), poly_from_lists(q_lists)
+        rhs = RING.zero()
+        for i in range(k + 1):
+            rhs = rhs + sq(i, p) * sq(k - i, q)
+        assert sq(k, p * q) == rhs
 
 
 class TestWuClasses:
@@ -315,6 +422,44 @@ class TestTwoFamilyRing:
         # distinct leading monomials in distinct degrees: independence
         degrees = {p.degree() for p in images.values()}
         assert degrees == {2, 3, 5, 9}
+
+
+def reference_basis(ring, degree):
+    """The plain recursive enumeration, without memoisation: generators in
+    (family, index) order, highest exponent first."""
+    gens = sorted(ring.generators_up_to(degree), key=lambda g: (g[1], g[0]))
+
+    def build(remaining, pos):
+        if remaining == 0:
+            return [[]]
+        if pos >= len(gens):
+            return []
+        out = []
+        for e in range(remaining // gens[pos][0], -1, -1):
+            for tail in build(remaining - e * gens[pos][0], pos + 1):
+                out.append(([(gens[pos], e)] if e else []) + tail)
+        return out
+
+    return [tuple(sorted(m)) for m in build(degree, 0)] if degree >= 0 else []
+
+
+class TestMonomialBasis:
+    def test_size_is_partitions_into_parts_at_least_two(self):
+        for d in range(41):
+            assert len(RING.monomial_basis(d)) == sympy.partition(d) - sympy.partition(d - 1)
+
+    @pytest.mark.parametrize("ring", [RING, StiefelWhitneyRing(two_family=True)])
+    def test_order_matches_plain_recursion(self, ring):
+        for d in range(-1, 19):
+            assert ring.monomial_basis(d) == reference_basis(ring, d)
+
+    def test_returns_a_fresh_list(self):
+        first = RING.monomial_basis(12)
+        expected = list(first)
+        first.reverse()
+        first.append(UNIT)
+        assert RING.monomial_basis(12) == expected
+        assert RING.monomial_basis(12) is not RING.monomial_basis(12)
 
 
 class TestParser:
