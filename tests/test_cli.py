@@ -121,6 +121,12 @@ class TestHpTable:
                            "--max-j", "2", "--method", "residue")
         assert code == 0 and out == "1 0 0\n2 1 0\n3 4 1\n"
 
+    @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_golden_output(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
 
 class TestSteenrodCommands:
     def test_sq(self, capsys):
