@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Union
 
 from .modules import AbGroupExpr
@@ -445,10 +445,10 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
 
     The duality is the identity on isomorphism classes.  For the torsion
     part every homomorphism into Q/Z is liftable (there is nothing to
-    lift), so the verification enumerates all candidate generator
-    assignments for maps Hom(A, Q/Z) -> Q/Z, checks each really is a
-    homomorphism realized by evaluation at an element, and compares
-    element-order statistics with A.  For free factors the liftable
+    lift), so the verification counts the candidate generator assignments
+    for maps Hom(A, Q/Z) -> Q/Z, checks that each homomorphism among them
+    is realized by evaluation at an element, and compares element-order
+    statistics with A.  For free factors the liftable
     endomorphisms of Q/Z are exactly the integer multiplications, checked
     on a witness set of rationals.
     """
@@ -470,8 +470,18 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
     def pairing(a, x) -> int:
         return sum(ai * xi * w for ai, xi, w in zip(a, x, weights)) % denominator
 
-    # dual side: each a defines phi_a = <a, .>; all duals are of this form
-    dual_tables = {a: tuple(pairing(a, x) for x in elements) for a in elements}
+    # dual side: each a defines phi_a = <a, .>; all duals are of this form.
+    # Row phi_a lists <a, x> over elements, summed from per-factor columns.
+    columns = [[x[i] * w for x in elements] for i, w in enumerate(weights)]
+
+    def dual_row(a) -> tuple[int, ...]:
+        row = [0] * len(elements)
+        for ai, column in zip(a, columns):
+            if ai:
+                row = [r + ai * c for r, c in zip(row, column)]
+        return tuple(r % denominator for r in row)
+
+    dual_tables = {a: dual_row(a) for a in elements}
     evaluation_bijective = len(set(dual_tables.values())) == len(elements)
 
     # spot-check additivity of the evaluation functionals against the
@@ -486,20 +496,16 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
                     evaluation_bijective = False
 
     # double dual: candidate images of each dual generator delta_i are
-    # drawn from the (1/n_i^2)-grid; the valid ones are exactly those of
-    # order dividing n_i, and each valid assignment must be realized by
-    # evaluation at the element with those coordinates.
+    # drawn from the (1/n_i^2)-grid; the homomorphisms are exactly those
+    # of order dividing n_i, that is the images t = n_i * x_i for an
+    # element x, and each must be realized by evaluation at x.
     basis = [tuple(1 if j == i else 0 for j in range(len(factors)))
              for i in range(len(factors))]
-    candidates = 0
+    candidates = prod(n * n for n in factors)
     valid = 0
-    for raw in itertools.product(*(range(n * n) for n in factors)):
-        candidates += 1
-        if any(t % n for t, n in zip(raw, factors)):
-            continue  # image order does not divide n_i: not a homomorphism
-        x = tuple(t // n for t, n in zip(raw, factors))
-        if all(Fraction(pairing(b, x), denominator) == qz(Fraction(t, n * n))
-               for b, t, n in zip(basis, raw, factors)):
+    for x in elements:
+        if all(Fraction(pairing(b, x), denominator) == qz(Fraction(n * xi, n * n))
+               for b, xi, n in zip(basis, x, factors)):
             valid += 1
     orders_match = _element_orders(factors) == _dual_orders(dual_tables, elements,
                                                             denominator)
@@ -518,10 +524,8 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
 def _dual_orders(dual_tables, elements, denominator) -> dict[int, int]:
     counts: dict[int, int] = {}
     for a in elements:
-        shared = denominator
-        for value in dual_tables[a]:
-            shared = gcd(shared, value)
-        counts[denominator // shared] = counts.get(denominator // shared, 0) + 1
+        order = denominator // gcd(denominator, *dual_tables[a])
+        counts[order] = counts.get(order, 0) + 1
     if not elements:
         counts[1] = 1
     return counts

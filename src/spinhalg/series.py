@@ -229,17 +229,29 @@ def cosh_sqrt_series(trunc: int = DEFAULT_TRUNC // 4) -> GradedSeries:
     return GradedSeries(4, coeffs)
 
 
+def _sinh_ratio_series(trunc: int) -> GradedSeries:
+    """sinh(x)/x = sum x^(2k) / (2k+1)!, which is also 1/F(2x) for the
+    A-hat factor F."""
+    coeffs = [Fraction(0)] * (trunc + 1)
+    for k in range(0, trunc // 2 + 1):
+        coeffs[2 * k] = Fraction(1, factorial(2 * k + 1))
+    return GradedSeries(2, coeffs)
+
+
+def _character_ratio(i: int, inverse_sinh_ratio: GradedSeries) -> GradedSeries:
+    """sinh((i+1)x)/x times the shared x/sinh(x)."""
+    num = [Fraction(0)] * (inverse_sinh_ratio.trunc + 1)
+    for k in range(0, inverse_sinh_ratio.trunc // 2 + 1):
+        num[2 * k] = Fraction((i + 1) ** (2 * k + 1), factorial(2 * k + 1))
+    return GradedSeries(2, num) * inverse_sinh_ratio
+
+
 def character_ratio_series(i: int, trunc: int) -> GradedSeries:
     """sinh((i+1)x)/sinh(x) as an even series in x (the Chern character
     of the weight-i bundle pulled back to the projective-space variable)."""
     if i < 0:
         raise ValueError("bundle index must be nonnegative")
-    num = [Fraction(0)] * (trunc + 1)
-    den = [Fraction(0)] * (trunc + 1)
-    for k in range(0, trunc // 2 + 1):
-        num[2 * k] = Fraction((i + 1) ** (2 * k + 1), factorial(2 * k + 1))
-        den[2 * k] = Fraction(1, factorial(2 * k + 1))
-    return GradedSeries(2, num) * GradedSeries(2, den).reciprocal()
+    return _character_ratio(i, _sinh_ratio_series(trunc).reciprocal())
 
 
 def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
@@ -247,6 +259,20 @@ def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
     the complex projective variable x: F(x)^(2j+2) / F(2x)."""
     f = a_hat_series(trunc)
     return f ** (2 * j + 2) * f.scale_variable(2).reciprocal()
+
+
+def _hp_a_hat_classes(max_j: int, trunc: int) -> list[GradedSeries]:
+    """hp_a_hat_class(j, trunc) for j = 0..max_j, each power of F one
+    multiplication by F^2 from the last, over the shared 1/F(2x)."""
+    f = a_hat_series(trunc)
+    f_squared = f * f
+    inverse_f2x = _sinh_ratio_series(trunc)
+    power = f_squared
+    classes = [power * inverse_f2x]
+    for _ in range(max_j):
+        power = power * f_squared
+        classes.append(power * inverse_f2x)
+    return classes
 
 
 # --------------------------------------------------------------------------
@@ -397,21 +423,34 @@ def hp_pairing_binomial(i: int, j: int) -> int:
     return comb(i + j + 1, k)
 
 
+def _residue_entry(i: int, j: int, character: GradedSeries,
+                   a_hat_class: GradedSeries) -> int:
+    """The x^(2j) coefficient of character * a_hat_class, which must be an
+    integer."""
+    top = 2 * j
+    value = sum(character.coeffs[k] * a_hat_class.coeffs[top - k]
+                for k in range(top + 1))
+    if value.denominator != 1:
+        raise NonIntegralCoefficient(
+            f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")
+    return int(value)
+
+
+def _residue_truncation(max_j: int, trunc: int | None) -> int:
+    top = 2 * max_j if trunc is None else trunc
+    if top < 2 * max_j:
+        raise ValueError("truncation too small for the requested coefficient")
+    return top
+
+
 def hp_pairing_residue(i: int, j: int, trunc: int | None = None) -> int:
     """Same pairing computed as the x^(2j) coefficient of
     ch(weight-i bundle) * A-hat(HP^j), all inside the complex projective
     variable.  The extraction must land on an integer."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    top = 2 * j if trunc is None else trunc
-    if top < 2 * j:
-        raise ValueError("truncation too small for the requested coefficient")
-    integrand = character_ratio_series(i, top) * hp_a_hat_class(j, top)
-    value = ClosedManifoldModel.hp(j).integrate(integrand)
-    if value.denominator != 1:
-        raise NonIntegralCoefficient(
-            f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")
-    return int(value)
+    top = _residue_truncation(j, trunc)
+    return _residue_entry(i, j, character_ratio_series(i, top), hp_a_hat_class(j, top))
 
 
 def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
@@ -440,26 +479,40 @@ def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
     return compose_even(poly, inner)
 
 
+def _chebyshev_entry(theta: GradedSeries, j: int) -> int:
+    c = theta.coeff(2 * j)
+    if c.denominator != 1:
+        raise NonIntegralCoefficient(f"theta coefficient {c} not integral")
+    return int(c)
+
+
 def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
                       trunc: int | None = None) -> list[list[int]]:
     """Pairing table with rows indexed by the bundle weight i and columns
     by the projective index j.  trunc overrides the automatic series
-    truncation of the non-closed-form methods."""
-    if method == "binomial":
-        entry = hp_pairing_binomial
-    elif method == "residue":
-        def entry(i, j):
-            return hp_pairing_residue(i, j, trunc)
-    elif method == "chebyshev":
-        def entry(i, j):
-            theta = chebyshev_theta(i, trunc if trunc is not None else 2 * max(i, j))
-            c = theta.coeff(2 * j)
-            if c.denominator != 1:
-                raise NonIntegralCoefficient(f"theta coefficient {c} not integral")
-            return int(c)
-    else:
+    truncation of the non-closed-form methods, which build each row's and
+    each column's series once."""
+    if method not in ("binomial", "residue", "chebyshev"):
         raise ValueError("method must be binomial, residue or chebyshev")
-    return [[entry(i, j) for j in range(max_j + 1)] for i in range(max_i + 1)]
+    if max_i < 0 or max_j < 0:
+        raise ValueError("indices must be nonnegative")
+    rows, cols = range(max_i + 1), range(max_j + 1)
+    if method == "binomial":
+        return [[hp_pairing_binomial(i, j) for j in cols] for i in rows]
+    if method == "residue":
+        top = _residue_truncation(max_j, trunc)
+        inverse_sinh_ratio = _sinh_ratio_series(top).reciprocal()
+        a_hat_classes = _hp_a_hat_classes(max_j, top)
+        matrix = []
+        for i in rows:
+            character = _character_ratio(i, inverse_sinh_ratio)
+            matrix.append([_residue_entry(i, j, character, a_hat_classes[j]) for j in cols])
+        return matrix
+    matrix = []
+    for i in rows:
+        theta = chebyshev_theta(i, trunc if trunc is not None else 2 * max(i, max_j))
+        matrix.append([_chebyshev_entry(theta, j) for j in cols])
+    return matrix
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
+def _frobenius(terms: Iterable[Monomial]) -> frozenset[Monomial]:
+    """The square of a sum of monomials over F2: every exponent doubles,
+    and distinct monomials have distinct squares, so nothing cancels."""
+    return frozenset(tuple((g, 2 * e) for g, e in m) for m in terms)
+
+
 @dataclass(frozen=True)
 class StiefelWhitneyRing:
     """Z2[w_i | i >= 2] (oriented), with an optional primed family
@@ -175,9 +181,14 @@ class F2Polynomial:
         return F2Polynomial(self.ring, frozenset(acc))
 
     def __pow__(self, e: int) -> "F2Polynomial":
-        out = self.ring.one()
-        for _ in range(e):
-            out = out * self
+        """Square and multiply; a nonpositive exponent gives one."""
+        out, base = self.ring.one(), self
+        while e > 0:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = F2Polynomial(self.ring, _frobenius(base.terms))
         return out
 
     def __eq__(self, other):
@@ -243,8 +254,7 @@ def _sq_power(ring: StiefelWhitneyRing, gen: Gen, e: int, i: int) -> frozenset[M
     if e % 2 == 0:
         if i % 2:
             return frozenset()
-        return frozenset(tuple((g, 2 * f) for g, f in m)
-                         for m in _sq_power(ring, gen, e // 2, i // 2))
+        return _frobenius(_sq_power(ring, gen, e // 2, i // 2))
     acc: set[Monomial] = set()
     for a in range(max(0, i - gen[0] * (e - 1)), min(i, gen[0]) + 1):
         left = _sq_generator(ring, a, gen)

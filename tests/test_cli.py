@@ -121,6 +121,12 @@ class TestHpTable:
                            "--max-j", "2", "--method", "residue")
         assert code == 0 and out == "1 0 0\n2 1 0\n3 4 1\n"
 
+    @pytest.mark.parametrize("sizes", [("-1", "2"), ("2", "-1")])
+    def test_negative_size_is_an_error(self, capsys, sizes):
+        code, out, err = run(capsys, "hp-table", "--max-i", sizes[0], "--max-j", sizes[1])
+        assert (code, out) == (1, "")
+        assert err == "error[ValueError]: indices must be nonnegative\n"
+
     @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_golden_output(self, capsys, case):

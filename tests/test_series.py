@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from spinhalg.series import (
     ClosedManifoldModel,
     GradedSeries,
     P1EulerPoly,
+    _hp_a_hat_classes,
     a_hat_series,
     character_ratio_series,
     chebyshev_theta,
@@ -156,6 +158,53 @@ class TestHPPairing:
         with pytest.raises(ValueError):
             hp_pairing_matrix(1, 1, "magic")
 
+    @pytest.mark.parametrize("method", ["binomial", "residue", "chebyshev"])
+    @pytest.mark.parametrize("max_i, max_j", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_sizes_rejected(self, method, max_i, max_j):
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            hp_pairing_matrix(max_i, max_j, method)
+
+
+SIZES = range(13)
+
+
+@pytest.fixture(scope="module")
+def per_entry_tables():
+    """Every entry for i, j <= 12, one series build per entry."""
+    residue = {(i, j): hp_pairing_residue(i, j) for i in SIZES for j in SIZES}
+    chebyshev = {(i, j): chebyshev_theta(i, 2 * max(i, j)).coeff(2 * j)
+                 for i in SIZES for j in SIZES}
+    return residue, chebyshev
+
+
+class TestPairingMatrixParity:
+    """The matrix builds each row's and each column's series once; its
+    entries must equal the per-entry computations."""
+
+    @pytest.mark.parametrize("max_i", SIZES)
+    def test_every_size_up_to_twelve(self, per_entry_tables, max_i):
+        residue, chebyshev = per_entry_tables
+        for max_j in SIZES:
+            cells = [[(i, j) for j in range(max_j + 1)] for i in range(max_i + 1)]
+            assert hp_pairing_matrix(max_i, max_j, "residue") == \
+                [[residue[c] for c in row] for row in cells]
+            assert hp_pairing_matrix(max_i, max_j, "chebyshev") == \
+                [[chebyshev[c] for c in row] for row in cells]
+
+    @pytest.mark.parametrize("max_i, max_j, trunc", [(6, 12, 25), (12, 5, 17), (3, 9, 30)])
+    def test_explicit_truncation(self, max_i, max_j, trunc):
+        assert hp_pairing_matrix(max_i, max_j, "residue", trunc) == [
+            [hp_pairing_residue(i, j, trunc) for j in range(max_j + 1)]
+            for i in range(max_i + 1)]
+        assert hp_pairing_matrix(max_i, max_j, "chebyshev", trunc) == [
+            [chebyshev_theta(i, trunc).coeff(2 * j) for j in range(max_j + 1)]
+            for i in range(max_i + 1)]
+
+    @pytest.mark.parametrize("top", [0, 7, 24, 31])
+    def test_hoisted_a_hat_classes(self, top):
+        max_j = top // 2
+        assert _hp_a_hat_classes(max_j, top) == [hp_a_hat_class(j, top) for j in range(max_j + 1)]
+
 
 class TestChebyshevTheta:
     def test_theta0(self):
@@ -232,3 +281,11 @@ class TestCharacterRatio:
 
     def test_hp_a_hat_constant(self):
         assert hp_a_hat_class(3, 8).constant == 1
+
+    @pytest.mark.parametrize("j", range(7))
+    def test_hp_a_hat_class_against_sympy(self, j):
+        x = sympy.symbols("x")
+        expr = (x / (2 * sympy.sinh(x / 2))) ** (2 * j + 2) * sympy.sinh(x) / x
+        expansion = sympy.series(expr, x, 0, 2 * j + 1).removeO()
+        expected = [F(str(expansion.coeff(x, k))) for k in range(2 * j + 1)]
+        assert list(hp_a_hat_class(j, 2 * j).coeffs) == expected

@@ -202,6 +202,21 @@ def poly_from_lists(lists):
     return sum((w(*factors) for factors in lists), RING.zero())
 
 
+class TestPower:
+    def test_square_and_multiply_matches_repeated_products(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            p = random_polynomial(rng, RING, max_degree=8)
+            product = RING.one()
+            for e in range(41):
+                assert p ** e == product, (p, e)
+                product = product * p
+
+    def test_huge_power_of_a_generator(self):
+        assert (RING.w(2) ** 10**6).terms == frozenset({(((2, 0), 10**6),)})
+        assert str(RING.w(2) ** 10**6) == "w2^1000000"
+
+
 class TestCartanProperty:
     @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
     @given(monomial_lists, monomial_lists, st.integers(0, 12))
