@@ -3,13 +3,15 @@
 Every subcommand wraps exactly one library operation family and prints
 deterministically: identical flags give byte-identical output, so the
 outputs are safe to pin in golden files.  Exit codes: 0 success, 2 usage
-error (argparse), 1 domain error from the library.
+error (argparse), 1 domain error from the library, or a reader that closed
+stdout before the output was written (no message, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -295,7 +297,15 @@ def main(argv=None) -> int:
         category = type(exc).__name__
         print(f"error[{category}]: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`spinhalg ... | head`).  Point
+        # stdout at devnull so the interpreter's final flush cannot raise
+        # again, and report the unwritten output through the exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

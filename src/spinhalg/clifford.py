@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -78,29 +79,39 @@ def blade_indices(blade: int) -> tuple[int, ...]:
 
 
 def blade_degree(blade: int) -> int:
-    return bin(blade).count("1")
+    return blade.bit_count()
 
 
-def _merge_sign(a: int, b: int) -> int:
-    # Number of pairs (i in a, j in b) with j < i = transpositions needed
-    # to sort the concatenation of the two ascending index lists.
-    swaps = 0
-    a >>= 1
-    while a:
-        swaps += bin(a & b).count("1")
-        a >>= 1
-    return -1 if swaps & 1 else 1
+def _sign_mask(a: int, neg_mask: int) -> int:
+    """Mask S_a with e_A e_B = (-1)^popcount(B & S_a) e_{A xor B}.
+
+    neg_mask = (1 << r) - 1 marks the generators that square to -1.
+    Sorting the concatenated index lists moves generator j of B past the
+    generators of A above j, so bit j - 1 of the reorder mask is the parity
+    of A's generators above j: the suffix XOR of a >> 1, taken in
+    O(log n) shifts.  XOR-ing in a & neg_mask adds one sign for each
+    repeated generator that squares to -1.
+    """
+    m = a >> 1
+    shift = 1
+    while m >> shift:
+        m ^= m >> shift
+        shift <<= 1
+    return m ^ (a & neg_mask)
 
 
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Product of two basis blades: returns (sign, result blade)."""
-    sign = _merge_sign(a, b)
-    common = a & b
-    # repeated generators collapse, each contributing its square
-    neg_mask = (1 << sig.r) - 1
-    if blade_degree(common & neg_mask) & 1:
-        sign = -sign
-    return sign, a ^ b
+    odd = (b & _sign_mask(a, (1 << sig.r) - 1)).bit_count() & 1
+    return (-1 if odd else 1), a ^ b
+
+
+def _numerators(terms: Mapping[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """Common denominator d and the (blade, integer numerator over d) pairs."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return d, [(b, c.numerator * (d // c.denominator)) for b, c in terms.items()]
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +143,14 @@ class CliffordElement:
         raise AttributeError("CliffordElement is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, sig: Signature, terms: dict[int, Fraction]) -> "CliffordElement":
+        """Adopt terms that already hold nonzero Fractions on valid blades."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "signature", sig)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def zero(cls, sig: Signature) -> "CliffordElement":
@@ -214,12 +233,32 @@ class CliffordElement:
             return self.scale(other)
         self._check(other)
         sig = self.signature
-        out: dict[int, Fraction] = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                sign, blade = blade_product(sig, b1, b2)
-                out[blade] = out.get(blade, Fraction(0)) + sign * c1 * c2
-        return CliffordElement(sig, out)
+        neg_mask = (1 << sig.r) - 1
+        da, left = _numerators(self.terms)
+        db, right = _numerators(other.terms)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for b1, n1 in left:
+            sign_mask = _sign_mask(b1, neg_mask)
+            for b2, n2 in right:
+                blade = b1 ^ b2
+                if (b2 & sign_mask).bit_count() & 1:
+                    acc[blade] = get(blade, 0) - n1 * n2
+                else:
+                    acc[blade] = get(blade, 0) + n1 * n2
+        # One Fraction per distinct value, shared by the blades that carry
+        # it: large products repeat values, and a Fraction object is about
+        # a third of the memory a term takes.
+        d = da * db
+        shared: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
+        for blade, v in acc.items():
+            if v:
+                c = shared.get(v)
+                if c is None:
+                    c = shared[v] = Fraction(v, d)
+                terms[blade] = c
+        return CliffordElement._wrap(sig, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -356,6 +395,17 @@ _CL_NEG = (
 
 VARIANTS = ("Cl", "CCl", "Clh", "CClh")
 
+# Largest total dimension n = r + s that classify and classify_indefinite
+# accept.  The matrix size grows as 16^(n/8), so at the cap it has about
+# 155 decimal digits; far larger n would only produce numbers too long to
+# print (CPython refuses int-to-str past 4300 digits, near n = 28,000).
+MAX_CLASSIFY_N = 1024
+
+
+def _check_classify_n(n: int) -> None:
+    if n > MAX_CLASSIFY_N:
+        raise ValueError(f"n = {n} exceeds the classification cap {MAX_CLASSIFY_N}")
+
 
 def _definite(n: int, table) -> AlgebraDescriptor:
     return table[n % 8].tensor_matrices(16 ** (n // 8))
@@ -366,11 +416,13 @@ def classify(n: int, variant: str = "Cl") -> AlgebraDescriptor:
 
     variant: "Cl" (real), "CCl" (complexified), "Clh" (tensored with H),
     "CClh" (both).  n >= 8 is reduced mod 8 and padded with R(16) factors.
+    n above MAX_CLASSIFY_N raises ValueError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    _check_classify_n(n)
     desc = _definite(n, _CL_POS)
     if variant in ("Clh", "CClh"):
         desc = desc.tensor_quaternions()
@@ -383,10 +435,11 @@ def classify_indefinite(r: int, s: int, quaternionic: bool = False) -> AlgebraDe
     """Normal form of Cl(r,s), optionally tensored with H.
 
     Uses the (1,1)-shift Cl(r+1,s+1) = Cl(r,s) (x) R(2) to reduce to a
-    definite signature.
+    definite signature.  r + s above MAX_CLASSIFY_N raises ValueError.
     """
     if r < 0 or s < 0:
         raise ValueError("signature components must be nonnegative")
+    _check_classify_n(r + s)
     m = min(r, s)
     r, s = r - m, s - m
     desc = _definite(r, _CL_POS) if s == 0 else _definite(s, _CL_NEG)
@@ -400,21 +453,22 @@ def classify_indefinite(r: int, s: int, quaternionic: bool = False) -> AlgebraDe
 # graded tensor decomposition check
 # --------------------------------------------------------------------------
 
-PairElement = dict[tuple[int, int], Fraction]
+PairElement = dict[tuple[int, int], Rational]
 
 
 def _pair_mul(sig1: Signature, sig2: Signature, x: PairElement, y: PairElement) -> PairElement:
+    neg1, neg2 = (1 << sig1.r) - 1, (1 << sig2.r) - 1
     out: PairElement = {}
     for (a1, b1), c1 in x.items():
-        right_deg = blade_degree(b1)
+        mask1, mask2 = _sign_mask(a1, neg1), _sign_mask(b1, neg2)
+        right_odd = b1.bit_count() & 1
         for (a2, b2), c2 in y.items():
-            sign = 1
-            if (right_deg & 1) and (blade_degree(a2) & 1):
-                sign = -1  # Koszul rule
-            s1, a = blade_product(sig1, a1, a2)
-            s2, b = blade_product(sig2, b1, b2)
-            key = (a, b)
-            out[key] = out.get(key, Fraction(0)) + sign * s1 * s2 * c1 * c2
+            # blade signs in each factor, then the Koszul rule
+            parity = ((a2 & mask1).bit_count() + (b2 & mask2).bit_count()
+                      + (right_odd & a2.bit_count()))
+            key = (a1 ^ a2, b1 ^ b2)
+            c = -c1 * c2 if parity & 1 else c1 * c2
+            out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
@@ -448,30 +502,36 @@ def graded_tensor_check(m: int, n: int, max_total: int = 12) -> GradedTensorRepo
 
     def image(i: int) -> PairElement:
         if i <= m:
-            return {(1 << (i - 1), 0): Fraction(1)}
-        return {(0, 1 << (i - m - 1)): Fraction(1)}
+            return {(1 << (i - 1), 0): 1}
+        return {(0, 1 << (i - m - 1)): 1}
 
     unit_key = (0, 0)
     relations_ok = True
     for i in range(1, total + 1):
         sq = _pair_mul(sig1, sig2, image(i), image(i))
-        if sq != {unit_key: Fraction(-1)}:
+        if sq != {unit_key: -1}:
             relations_ok = False
     for i in range(1, total + 1):
         for j in range(i + 1, total + 1):
             anti = _pair_mul(sig1, sig2, image(i), image(j))
             for k, v in _pair_mul(sig1, sig2, image(j), image(i)).items():
-                anti[k] = anti.get(k, Fraction(0)) + v
+                anti[k] = anti.get(k, 0) + v
             if any(anti.values()):
                 relations_ok = False
 
+    # The image of e_{i1}...e_{ik} (ascending) is the image of the blade
+    # without its top generator times that generator's image: the same
+    # ordered product as multiplying the generator images in turn.
+    images: list[PairElement] = []
     seen: set[tuple[int, int]] = set()
     bijective = True
     for blade in range(1 << total):
-        acc: PairElement = {unit_key: Fraction(1)}
-        for i in range(1, total + 1):
-            if blade & (1 << (i - 1)):
-                acc = _pair_mul(sig1, sig2, acc, image(i))
+        if blade:
+            top = blade.bit_length()
+            acc = _pair_mul(sig1, sig2, images[blade ^ (1 << (top - 1))], image(top))
+        else:
+            acc = {unit_key: 1}
+        images.append(acc)
         if len(acc) != 1:
             bijective = False
             break

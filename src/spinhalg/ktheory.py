@@ -474,15 +474,21 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
     # Row phi_a lists <a, x> over elements, summed from per-factor columns.
     columns = [[x[i] * w for x in elements] for i, w in enumerate(weights)]
 
-    def dual_row(a) -> tuple[int, ...]:
+    def dual_row(a) -> list[int]:
         row = [0] * len(elements)
         for ai, column in zip(a, columns):
             if ai:
                 row = [r + ai * c for r, c in zip(row, column)]
-        return tuple(r % denominator for r in row)
+        return [r % denominator for r in row]
 
-    dual_tables = {a: dual_row(a) for a in elements}
-    evaluation_bijective = len(set(dual_tables.values())) == len(elements)
+    # Rows are not kept: each one gives its order and is dropped.  Only the
+    # zero row has order 1, and a -> phi_a is additive, so it is injective
+    # iff exactly one a (namely 0) gives the zero row.
+    dual_orders: dict[int, int] = {}
+    for a in elements:
+        order = denominator // gcd(denominator, *dual_row(a))
+        dual_orders[order] = dual_orders.get(order, 0) + 1
+    evaluation_bijective = dual_orders[1] == 1
 
     # spot-check additivity of the evaluation functionals against the
     # dual group's addition (a tautology worth a cheap audit)
@@ -507,8 +513,7 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
         if all(Fraction(pairing(b, x), denominator) == qz(Fraction(n * xi, n * n))
                for b, xi, n in zip(basis, x, factors)):
             valid += 1
-    orders_match = _element_orders(factors) == _dual_orders(dual_tables, elements,
-                                                            denominator)
+    orders_match = _element_orders(factors) == dual_orders
 
     witness_results = tuple((Fraction(q), _rational_descends(Fraction(q)))
                             for q in witnesses)
@@ -519,13 +524,3 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
                 and orders_match and (group.rank == 0 or free_ok))
     return DualityReport(group, verified, candidates, valid,
                          evaluation_bijective, orders_match, witness_results)
-
-
-def _dual_orders(dual_tables, elements, denominator) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for a in elements:
-        order = denominator // gcd(denominator, *dual_tables[a])
-        counts[order] = counts.get(order, 0) + 1
-    if not elements:
-        counts[1] = 1
-    return counts

@@ -49,6 +49,21 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("--n", "1024", "--variant", "CClh"),
+                                      ("--r", "1000", "--s", "24")])
+    def test_largest_n_under_the_cap(self, capsys, argv):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 0 and err == ""
+        assert out.startswith(("C(", "R(", "H("))
+
+    @pytest.mark.parametrize("argv, n", [(("--n", "100000"), 100000),
+                                         (("--n", "1025"), 1025),
+                                         (("--r", "1000", "--s", "25"), 1025)])
+    def test_n_above_the_cap_is_an_error(self, capsys, argv, n):
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: n = {n} exceeds the classification cap 1024\n"
+
 
 class TestDimsAndNgroup:
     def test_dims(self, capsys):
@@ -126,6 +141,23 @@ class TestHpTable:
         code, out, err = run(capsys, "hp-table", "--max-i", sizes[0], "--max-j", sizes[1])
         assert (code, out) == (1, "")
         assert err == "error[ValueError]: indices must be nonnegative\n"
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # `spinhalg hp-table ... | head -c 10`: the reader is gone before the
+        # table is written.  Closing the read end first makes the write fail
+        # every time instead of depending on which process runs first.
+        env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinhalg.cli", "hp-table", "--max-i", "30",
+                 "--max-j", "30", "--method", "binomial"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
                              ids=lambda case: " ".join(case["argv"]))

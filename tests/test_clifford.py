@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhalg.clifford import (
     AlgebraDescriptor,
     CliffordElement,
+    GradedTensorReport,
     Signature,
     SignatureMismatch,
     blade_degree,
     blade_from_indices,
+    blade_indices,
+    blade_product,
     classify,
     classify_indefinite,
     graded_tensor_check,
@@ -102,6 +107,115 @@ class TestBladeArithmetic:
         assert blade_degree(0b1101) == 3
         with pytest.raises(ValueError):
             blade_from_indices([3, 1])
+
+
+# Reference product: the shift-loop reorder sign and one Fraction product
+# per blade pair, a path independent of the kernel's per-blade sign mask
+# and integer numerators.
+
+def shift_loop_sign(r, a, b):
+    swaps = 0
+    x = a >> 1
+    while x:
+        swaps += bin(x & b).count("1")
+        x >>= 1
+    if bin(a & b & ((1 << r) - 1)).count("1") & 1:
+        swaps += 1
+    return -1 if swaps & 1 else 1
+
+
+def reference_product(x, y):
+    out = {}
+    for b1, c1 in x.terms.items():
+        for b2, c2 in y.terms.items():
+            sign = shift_loop_sign(x.signature.r, b1, b2)
+            out[b1 ^ b2] = out.get(b1 ^ b2, Fraction(0)) + sign * c1 * c2
+    return {b: c for b, c in out.items() if c}
+
+
+def coefficients(rng, blades, kind):
+    """'Z': nonzero integers; 'Z/2': odd halves; 'Q': denominators up to 12."""
+    out = {}
+    for b in blades:
+        num = rng.choice([k for k in range(-9, 10) if k])
+        if kind == "Z/2":
+            out[b] = Fraction(2 * num + 1, 2)
+        elif kind == "Q":
+            out[b] = Fraction(num, rng.randint(1, 12))
+        else:
+            out[b] = num
+    return out
+
+
+KIND_PAIRS = [("Z", "Z"), ("Z", "Z/2"), ("Z/2", "Z"), ("Z/2", "Z/2"), ("Q", "Z/2")]
+
+
+def assert_matches_reference(x, y):
+    product = x * y
+    assert product.terms == reference_product(x, y)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+
+
+class TestProductAgainstReference:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_dense(self, n):
+        rng = random.Random(1000 + n)
+        for r in range(n + 1):
+            ka, kb = KIND_PAIRS[r % len(KIND_PAIRS)]
+            sig = Signature(r, n - r)
+            x = CliffordElement(sig, coefficients(rng, range(1 << n), ka))
+            y = CliffordElement(sig, coefficients(rng, range(1 << n), kb))
+            assert_matches_reference(x, y)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_sparse(self, n):
+        rng = random.Random(2000 + n)
+        for r in range(n + 1):
+            sig = Signature(r, n - r)
+            for ka, kb in KIND_PAIRS:
+                x = CliffordElement(sig, coefficients(rng, rng.sample(range(1 << n), 24), ka))
+                y = CliffordElement(sig, coefficients(rng, rng.sample(range(1 << n), 40), kb))
+                assert_matches_reference(x, y)
+
+    def test_cancelled_blades_are_dropped(self):
+        sig = Signature(2, 0)
+        e1, e2 = (CliffordElement.generator(sig, i) for i in (1, 2))
+        # (e1 + e2)(e1 - e2) = -1 - 2 e1e2 + 1: the scalar cancels
+        product = (e1 + e2) * (e1 - e2)
+        assert product.terms == {0b11: Fraction(-2)}
+        half = CliffordElement(sig, {0: Fraction(1, 2), 0b11: Fraction(1, 2)})
+        # (1/2 + e12/2)(1/2 - e12/2) = 1/4 - e12^2/4 = 1/2
+        assert (half * CliffordElement(sig, {0: Fraction(1, 2), 0b11: Fraction(-1, 2)})
+                ).terms == {0: Fraction(1, 2)}
+
+    def test_sign_matches_inversion_count(self):
+        # every blade pair at n = 8 for every r; the sign of e_A e_B depends
+        # only on (A, B, r), so this covers every signature with n <= 8
+        n = 8
+        indices = [blade_indices(b) for b in range(1 << n)]
+        for a in range(1 << n):
+            ia = indices[a]
+            for b in range(1 << n):
+                ib = indices[b]
+                inversions = sum(1 for i in ia for j in ib if j < i)
+                common = [i for i in ia if i in ib]
+                for r in range(n + 1):
+                    negative = sum(1 for i in common if i <= r)
+                    sign = -1 if (inversions + negative) & 1 else 1
+                    assert blade_product(Signature(r, n - r), a, b) == (sign, a ^ b)
+
+    @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+    @given(st.data())
+    def test_associativity_property(self, data):
+        n = data.draw(st.integers(0, 6))
+        r = data.draw(st.integers(0, n))
+        sig = Signature(r, n - r)
+        coeff = st.one_of(
+            st.integers(-9, 9),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12))
+        element = st.dictionaries(st.integers(0, (1 << n) - 1), coeff, max_size=10)
+        x, y, z = (CliffordElement(sig, data.draw(element)) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
 
 
 class TestTranspose:
@@ -296,6 +410,56 @@ class TestGradedTensor:
         with pytest.raises(ValueError):
             graded_tensor_check(7, 6)
         assert graded_tensor_check(7, 6, max_total=13).passed
+
+    @pytest.mark.parametrize("total", range(0, 10))
+    def test_matches_per_blade_loop(self, total):
+        for m in range(total + 1):
+            assert graded_tensor_check(m, total - m) == reference_graded_tensor_check(m, total - m)
+
+
+def reference_pair_mul(m, n, x, y):
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            koszul = -1 if bin(b1).count("1") & bin(a2).count("1") & 1 else 1
+            sign = koszul * shift_loop_sign(m, a1, a2) * shift_loop_sign(n, b1, b2)
+            key = (a1 ^ a2, b1 ^ b2)
+            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_graded_tensor_check(m, n):
+    """graded_tensor_check with one product per set bit of each blade."""
+    total = m + n
+
+    def image(i):
+        return {(1 << (i - 1), 0): Fraction(1)} if i <= m else {(0, 1 << (i - m - 1)): Fraction(1)}
+
+    relations_ok = all(reference_pair_mul(m, n, image(i), image(i)) == {(0, 0): -1}
+                       for i in range(1, total + 1))
+    for i in range(1, total + 1):
+        for j in range(i + 1, total + 1):
+            anti = reference_pair_mul(m, n, image(i), image(j))
+            for k, v in reference_pair_mul(m, n, image(j), image(i)).items():
+                anti[k] = anti.get(k, Fraction(0)) + v
+            relations_ok = relations_ok and not any(anti.values())
+    seen = set()
+    bijective = True
+    for blade in range(1 << total):
+        acc = {(0, 0): Fraction(1)}
+        for i in range(1, total + 1):
+            if blade >> (i - 1) & 1:
+                acc = reference_pair_mul(m, n, acc, image(i))
+        if len(acc) != 1:
+            bijective = False
+            break
+        (key, coeff), = acc.items()
+        if coeff not in (1, -1) or key in seen:
+            bijective = False
+            break
+        seen.add(key)
+    bijective = bijective and len(seen) == 1 << total
+    return GradedTensorReport(m, n, 1 << total, relations_ok, bijective)
 
 
 class TestDescriptor:

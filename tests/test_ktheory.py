@@ -351,3 +351,17 @@ class TestDualGroupParity:
             tracemalloc.stop()
         assert report.verified and report.torsion_candidates == 360000
         assert peak <= 23_932_320 // 2
+
+    def test_peak_allocation_on_z870(self):
+        # tracemalloc peak of dual_group(Z_870): 23,218,640 bytes with a
+        # table of all |G| dual rows, 126,040 bytes with one row at a time
+        # (Python 3.11).  The bound is 1 MiB.
+        group = FGAbelianGroup(0, (870,))
+        tracemalloc.start()
+        try:
+            report = dual_group(group)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified and report.torsion_valid == 870
+        assert peak <= 1 << 20
