@@ -18,6 +18,16 @@ from fractions import Fraction
 from . import clifford, ktheory, modules, series, steenrod
 
 
+# Largest --max-degree that `steenrod wu` and `steenrod verify-bspinh`
+# accept.  The cost grows steeply with the degree: on one core of an Intel
+# Xeon, `wu` takes about 6 s at 40, 50 s at 48 and over two minutes at 56.
+MAX_STEENROD_DEGREE = 40
+
+# Most degrees one `ktable` call prints (ten million take about a minute
+# and print 111 MB).
+MAX_KTABLE_ENTRIES = 10_000
+
+
 def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
@@ -64,6 +74,12 @@ def _cmd_ngroup(args) -> str:
 
 
 def _cmd_genus(args) -> str:
+    if (args.sig - args.euler) % 2:
+        # on a closed oriented 4-manifold the signature is the Euler
+        # characteristic mod 2, so (sig +- euler)/2 is an integer
+        raise ktheory.IntegralityError(
+            f"signature {args.sig} and Euler characteristic {args.euler} "
+            "differ mod 2")
     value = series.genus_4manifold(args.sig, args.euler, args.orientation)
     if args.format == "json":
         return _json_dump({"signature": args.sig, "euler": args.euler,
@@ -91,7 +107,14 @@ def _cmd_steenrod_sq(args) -> str:
     return str(result)
 
 
+def _check_max_degree(degree: int) -> None:
+    if degree > MAX_STEENROD_DEGREE:
+        raise ValueError(
+            f"max degree {degree} exceeds the cap {MAX_STEENROD_DEGREE}")
+
+
 def _cmd_steenrod_wu(args) -> str:
+    _check_max_degree(args.max_degree)
     ring = steenrod.StiefelWhitneyRing()
     nu = steenrod.wu_classes(ring, args.max_degree)
     if args.format == "json":
@@ -101,6 +124,7 @@ def _cmd_steenrod_wu(args) -> str:
 
 
 def _cmd_steenrod_verify(args) -> str:
+    _check_max_degree(args.max_degree)
     model = steenrod.bso_quotient_model("spinh", args.max_degree)
     quotient = model.poincare_series()
     free = model.free_series()
@@ -144,6 +168,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_ktable(args) -> str:
     ring = ktheory.CoefficientRing.parse(args.coeff)
     lo, hi = _parse_range(args.range)
+    if hi - lo + 1 > MAX_KTABLE_ENTRIES:
+        raise ValueError(f"range {lo}..{hi} has {hi - lo + 1} degrees, "
+                         f"more than the cap {MAX_KTABLE_ENTRIES}")
     entries = []
     for n in range(lo, hi + 1):
         result = ktheory.k_coefficients_extension(args.theory, n, ring)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Union
 
-from .modules import AbGroupExpr
+from .modules import _0, _Z, _Z2, AbGroupExpr, ngroup
 
 Rational = Union[int, Fraction]
 
@@ -82,23 +82,16 @@ def zk_to_qz(residue: int, k: int) -> Fraction:
 # integral coefficient tables (period 8 / 2)
 # --------------------------------------------------------------------------
 
-_Z = AbGroupExpr.free()
-_Z2 = AbGroupExpr.cyclic(2)
-_0 = AbGroupExpr.zero()
-
-_KO_TABLE = (_Z, _Z2, _Z2, _0, _Z, _0, _0, _0)
-_KSP_TABLE = (_Z, _0, _0, _0, _Z, _Z2, _Z2, _0)  # KO shifted by four
+# Atiyah-Bott-Shapiro: theory_n(pt) is the graded-module group N_n over
+# the matching field.
+_MODULE_FIELD = {"KO": "R", "KU": "C", "KSp": "H"}
 
 
 def integral_table(theory: str, n: int) -> AbGroupExpr:
     """Homotopy of the coefficient spectrum: theory_n(pt), any integer n."""
-    if theory == "KU":
-        return _Z if n % 2 == 0 else _0
-    if theory == "KO":
-        return _KO_TABLE[n % 8]
-    if theory == "KSp":
-        return _KSP_TABLE[n % 8]
-    raise ValueError(f"theory must be one of {THEORIES}")
+    if theory not in _MODULE_FIELD:
+        raise ValueError(f"theory must be one of {THEORIES}")
+    return ngroup(n % 8, _MODULE_FIELD[theory])
 
 
 def _tensor_with(group: AbGroupExpr, ring: CoefficientRing) -> AbGroupExpr:
@@ -403,6 +396,11 @@ class VerificationBoundExceeded(ValueError):
     pass
 
 
+# Largest torsion order dual_group verifies: it builds one dual row of |G|
+# pairings for each of the |G| elements.
+MAX_DUAL_ORDER = 1000
+
+
 @dataclass(frozen=True)
 class DualityReport:
     group: FGAbelianGroup
@@ -429,17 +427,10 @@ def _element_orders(factors: tuple[int, ...]) -> dict[int, int]:
     return counts
 
 
-def _rational_descends(q: Fraction) -> bool:
-    """Does multiplication by q on Q send Z into Z (so that it descends
-    to an endomorphism of Q/Z liftable over Q)?"""
-    return (q * 1).denominator == 1
-
-
 DEFAULT_WITNESSES = (Fraction(3), Fraction(1, 2), Fraction(-7), Fraction(5, 3), Fraction(0))
 
 
-def dual_group(group: FGAbelianGroup, max_order: int = 1000,
-               witnesses: Iterable[Rational] = DEFAULT_WITNESSES) -> DualityReport:
+def dual_group(group: FGAbelianGroup) -> DualityReport:
     """Double dual of a finitely generated abelian group under the
     rational-circle pairing, with a brute-force verification.
 
@@ -448,15 +439,18 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
     lift), so the verification counts the candidate generator assignments
     for maps Hom(A, Q/Z) -> Q/Z, checks that each homomorphism among them
     is realized by evaluation at an element, and compares element-order
-    statistics with A.  For free factors the liftable
-    endomorphisms of Q/Z are exactly the integer multiplications, checked
-    on a witness set of rationals.
+    statistics with A.  Finite abelian groups with the same number of
+    elements of each order are isomorphic, so the order comparison
+    decides the isomorphism type.  For free factors the liftable
+    endomorphisms of Q/Z are exactly the integer multiplications;
+    free_witnesses reports, for each rational in DEFAULT_WITNESSES,
+    whether it is one.
     """
     if group.rank > 2:
         raise VerificationBoundExceeded("free rank capped at two for verification")
-    if group.order > max_order:
+    if group.order > MAX_DUAL_ORDER:
         raise VerificationBoundExceeded(
-            f"torsion order {group.order} exceeds bound {max_order}")
+            f"torsion order {group.order} exceeds bound {MAX_DUAL_ORDER}")
 
     factors = group.torsion
     elements = list(itertools.product(*(range(n) for n in factors)))
@@ -490,17 +484,6 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
         dual_orders[order] = dual_orders.get(order, 0) + 1
     evaluation_bijective = dual_orders[1] == 1
 
-    # spot-check additivity of the evaluation functionals against the
-    # dual group's addition (a tautology worth a cheap audit)
-    stride = max(1, len(elements) // 12)
-    sample = elements[::stride]
-    for x in sample:
-        for a1 in sample:
-            for a2 in sample:
-                s = tuple((u + v) % n for u, v, n in zip(a1, a2, factors))
-                if (pairing(a1, x) + pairing(a2, x)) % denominator != pairing(s, x):
-                    evaluation_bijective = False
-
     # double dual: candidate images of each dual generator delta_i are
     # drawn from the (1/n_i^2)-grid; the homomorphisms are exactly those
     # of order dividing n_i, that is the images t = n_i * x_i for an
@@ -515,12 +498,8 @@ def dual_group(group: FGAbelianGroup, max_order: int = 1000,
             valid += 1
     orders_match = _element_orders(factors) == dual_orders
 
-    witness_results = tuple((Fraction(q), _rational_descends(Fraction(q)))
-                            for q in witnesses)
-    free_ok = all((q.denominator == 1) == descended
-                  for q, descended in witness_results)
+    witness_results = tuple((q, q.denominator == 1) for q in DEFAULT_WITNESSES)
 
-    verified = (evaluation_bijective and valid == len(elements)
-                and orders_match and (group.rank == 0 or free_ok))
+    verified = evaluation_bijective and valid == len(elements) and orders_match
     return DualityReport(group, verified, candidates, valid,
                          evaluation_bijective, orders_match, witness_results)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .clifford import classify
+from .clifford import _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
 
@@ -124,25 +124,18 @@ _0 = AbGroupExpr.zero()
 # fundamental module dimensions
 # --------------------------------------------------------------------------
 
-# real dimensions of the fundamental Z2-graded modules over Cl_n, n = 1..8
-_DIM_TABLE = {
-    "R": (2, 4, 8, 8, 16, 16, 16, 16),
-    "C": (4, 4, 8, 8, 16, 16, 32, 32),
-    "H": (8, 8, 8, 8, 16, 32, 64, 64),
-}
-
-
 def fundamental_dimension(n: int, field: str) -> int:
-    """Real dimension of the fundamental Z2-graded module over Cl_n.
+    """Real dimension of the fundamental Z2-graded module over Cl_n:
+    twice an irreducible ungraded module over Cl_{n-1}.
 
-    Tabulated for n = 1..8 and extended by d(n+8) = 16 d(n).
+    n above MAX_CLASSIFY_N raises ValueError, as in classify.
     """
     if field not in FIELDS:
         raise ValueError(f"field must be one of {FIELDS}")
     if n < 1:
         raise ValueError("graded fundamental modules are indexed from n = 1")
-    q, r = divmod(n - 1, 8)
-    return _DIM_TABLE[field][r] * 16 ** q
+    _check_classify_n(n)
+    return 2 * ungraded_irreducible_dimension(n - 1, field)
 
 
 def ungraded_irreducible_dimension(n: int, field: str) -> int:
@@ -157,8 +150,10 @@ def ungraded_irreducible_dimension(n: int, field: str) -> int:
 # Grothendieck group tables
 # --------------------------------------------------------------------------
 
-_NGROUP_R = {0: _Z, 1: _Z2, 2: _Z2, 3: _0, 4: _Z, 5: _0, 6: _0, 7: _0}
-_NGROUP_H = {0: _Z, 1: _0, 2: _0, 3: _0, 4: _Z, 5: _Z2, 6: _Z2, 7: _0}
+# KO_n(pt) for n mod 8.  Atiyah-Bott-Shapiro identify N_n over R with
+# KO_n(pt) and N_n over H with KSp_n(pt) = KO_{n+4}(pt); ktheory reads its
+# coefficient tables through ngroup.
+_KO = (_Z, _Z2, _Z2, _0, _Z, _0, _0, _0)
 
 
 def ngroup(n: int, field: str, h: bool = False) -> AbGroupExpr:
@@ -176,8 +171,7 @@ def ngroup(n: int, field: str, h: bool = False) -> AbGroupExpr:
         raise ValueError("the h variant only applies to complex scalars")
     if field == "C":
         return _Z if n % 2 == 0 else _0
-    table = _NGROUP_R if field == "R" else _NGROUP_H
-    return table[n % 8]
+    return _KO[(n if field == "R" else n + 4) % 8]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv, timeout=60):
+    env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "spinhalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestClassifyCommand:
     def test_table_entry(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "6", "--variant", "Clh")
@@ -76,6 +82,19 @@ class TestDimsAndNgroup:
         validate(payload, load_schema("dims"))
         assert payload["dimension"] == 32
 
+    @pytest.mark.parametrize("field, top", [("R", 16), ("C", 32), ("H", 64)])
+    def test_dims_at_the_cap(self, capsys, field, top):
+        # d(1024) = d(8) * 16^127: the dimension table for n = 1..8,
+        # padded by 16 per period
+        code, out, err = run(capsys, "dims", "--n", "1024", "--field", field)
+        assert (code, out, err) == (0, f"{top * 16 ** 127}\n", "")
+
+    @pytest.mark.parametrize("n", ["1025", "100000"])
+    def test_dims_above_the_cap_is_an_error(self, capsys, n):
+        code, out, err = run(capsys, "dims", "--n", n, "--field", "R")
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: n = {n} exceeds the classification cap 1024\n"
+
     def test_ngroup(self, capsys):
         code, out, _ = run(capsys, "ngroup", "--n", "5", "--field", "H")
         assert code == 0 and out == "Z2\n"
@@ -103,11 +122,19 @@ class TestGenusCommand:
         assert code == 0 and out == expected + "\n"
 
     def test_json(self, capsys):
-        _, out, _ = run(capsys, "genus", "--sig", "1", "--euler", "2",
+        _, out, _ = run(capsys, "genus", "--sig", "1", "--euler", "3",
                         "--orientation", "+", "--format", "json")
         payload = json.loads(out)
         validate(payload, load_schema("genus"))
-        assert payload["genus"] == "3/2"
+        assert payload["genus"] == "2"
+
+    @pytest.mark.parametrize("sig, euler", [("1", "2"), ("-3", "0")])
+    def test_signature_and_euler_of_different_parity(self, sig, euler):
+        proc = run_subprocess("genus", f"--sig={sig}", f"--euler={euler}",
+                              "--orientation", "+")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error[IntegralityError]: signature {sig} and Euler "
+                               f"characteristic {euler} differ mod 2\n")
 
 
 class TestHpTable:
@@ -221,12 +248,28 @@ class TestSteenrodCommands:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    def test_wu_at_the_degree_cap(self):
+        proc = run_subprocess("steenrod", "wu", "--max-degree", "40", timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1].startswith("v40 = ")
+
+    def test_verify_bspinh_at_the_degree_cap(self):
+        # runs wu_classes up to degree 41 internally
+        proc = run_subprocess("steenrod", "verify-bspinh", "--max-degree", "40",
+                              "--format", "json", timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert payload["series_match"] and payload["sq1_match"]
+
+    @pytest.mark.parametrize("command", ["wu", "verify-bspinh"])
+    def test_max_degree_above_the_cap_is_an_error(self, capsys, command):
+        code, out, err = run(capsys, "steenrod", command, "--max-degree", "41")
+        assert (code, out) == (1, "")
+        assert err == "error[ValueError]: max degree 41 exceeds the cap 40\n"
+
     def test_sq_of_a_high_power(self):
         # the Cartan expansion must not recurse once per unit of exponent
-        env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spinhalg.cli", "steenrod", "sq", "--k", "1",
-             "--poly", "w2^2000"], env=env, capture_output=True, text=True, timeout=60)
+        proc = run_subprocess("steenrod", "sq", "--k", "1", "--poly", "w2^2000")
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
         assert "Traceback" not in proc.stderr
@@ -253,6 +296,18 @@ class TestKtableCommand:
                            "--range", "2..2")
         assert code == 0
         assert "extension" in out
+
+    def test_range_at_the_cap(self, capsys):
+        code, out, err = run(capsys, "ktable", "--theory", "KO", "--range=-5000..4999")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 10000)
+        assert (lines[0], lines[-1]) == ("-5000: Z", "4999: 0")
+
+    def test_range_above_the_cap_is_an_error(self, capsys):
+        code, out, err = run(capsys, "ktable", "--theory", "KO", "--range", "0..10000")
+        assert (code, out) == (1, "")
+        assert err == ("error[ValueError]: range 0..10000 has 10001 degrees, "
+                       "more than the cap 10000\n")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "ktable", "--theory", "KO", "--coeff", "Z",

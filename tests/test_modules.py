@@ -1,5 +1,6 @@
 import pytest
 
+from spinhalg.clifford import classify
 from spinhalg.modules import (
     AbGroupExpr,
     BigradedIndex,
@@ -70,6 +71,13 @@ class TestFundamentalDimension:
         # over Cl_{n-1} (with matching field structure)
         assert fundamental_dimension(n, field) == 2 * ungraded_irreducible_dimension(n - 1, field)
 
+    @pytest.mark.parametrize("field", sorted(DIMS))
+    def test_padded_table_up_to_the_cap(self, field):
+        # the rule d(n + 8) = 16 d(n) on the table above, for every n
+        for n in range(1, 1025):
+            q, r = divmod(n - 1, 8)
+            assert fundamental_dimension(n, field) == DIMS[field][r] * 16 ** q, n
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             fundamental_dimension(0, "R")
@@ -79,7 +87,32 @@ NGROUP_R = ["Z2", "Z2", "0", "Z", "0", "0", "0", "Z"]   # n = 1..8
 NGROUP_H = ["0", "0", "0", "Z", "Z2", "Z2", "0", "Z"]   # n = 1..8
 
 
+def restriction_quotient(n, field):
+    """N_n = M_n / i*M_{n+1} from the classify normal forms alone.
+
+    Graded modules over Cl_n are ungraded modules over Cl_{n-1}, and i* is
+    restriction from Cl_n to Cl_{n-1}: it sends an irreducible over Cl_n to
+    `ratio` irreducibles over Cl_{n-1}, split evenly between the two
+    irreducibles when Cl_{n-1} = K(N)+K(N)."""
+    variant = {"R": "Cl", "C": "CCl", "H": "Clh"}[field]
+    source, target = classify(n, variant), classify(n - 1, variant)
+    ratio, rest = divmod(source.irreducible_real_dimension,
+                         target.irreducible_real_dimension)
+    assert rest == 0
+    if target.simple:
+        free, torsion = (), ratio                # Z / ratio Z
+    else:
+        assert ratio % 2 == 0
+        free, torsion = ("Z",), ratio // 2       # Z+Z / (ratio/2, ratio/2)
+    return AbGroupExpr(free + ((torsion,) if torsion > 1 else ()))
+
+
 class TestNGroup:
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_matches_the_restriction_quotient(self, field):
+        for n in range(1, 65):
+            assert ngroup(n, field) == restriction_quotient(n, field), n
+
     def test_table_rows(self):
         assert [str(ngroup(n, "R")) for n in range(1, 9)] == NGROUP_R
         assert [str(ngroup(n, "H")) for n in range(1, 9)] == NGROUP_H
