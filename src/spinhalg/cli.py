@@ -18,10 +18,11 @@ from fractions import Fraction
 from . import clifford, ktheory, modules, series, steenrod
 
 
-# Largest --max-degree that `steenrod wu` and `steenrod verify-bspinh`
-# accept.  The cost grows steeply with the degree: on one core of an Intel
-# Xeon, `wu` takes about 6 s at 40, 50 s at 48 and over two minutes at 56.
-MAX_STEENROD_DEGREE = 40
+# Largest --max-i/--max-j and --trunc that `hp-table` accepts.  With the
+# residue method on one core of an Intel Xeon, 60 x 60 takes about 6 s,
+# 60 x 60 at --trunc 120 about 7 s, and 100 x 100 about 40 s.
+MAX_HP_INDEX = 60
+MAX_HP_TRUNC = 120
 
 # Most degrees one `ktable` call prints (ten million take about a minute
 # and print 111 MB).
@@ -88,6 +89,11 @@ def _cmd_genus(args) -> str:
 
 
 def _cmd_hp_table(args) -> str:
+    for name, value in (("max-i", args.max_i), ("max-j", args.max_j)):
+        if value > MAX_HP_INDEX:
+            raise ValueError(f"--{name} {value} exceeds the cap {MAX_HP_INDEX}")
+    if args.trunc is not None and args.trunc > MAX_HP_TRUNC:
+        raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_HP_TRUNC}")
     matrix = series.hp_pairing_matrix(args.max_i, args.max_j, args.method,
                                       trunc=args.trunc)
     if args.format == "json":
@@ -108,9 +114,9 @@ def _cmd_steenrod_sq(args) -> str:
 
 
 def _check_max_degree(degree: int) -> None:
-    if degree > MAX_STEENROD_DEGREE:
+    if degree > steenrod.MAX_STEENROD_DEGREE:
         raise ValueError(
-            f"max degree {degree} exceeds the cap {MAX_STEENROD_DEGREE}")
+            f"max degree {degree} exceeds the cap {steenrod.MAX_STEENROD_DEGREE}")
 
 
 def _cmd_steenrod_wu(args) -> str:
@@ -168,6 +174,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_ktable(args) -> str:
     ring = ktheory.CoefficientRing.parse(args.coeff)
     lo, hi = _parse_range(args.range)
+    if hi < lo:
+        raise ValueError(f"range {lo}..{hi} is empty: the upper end is below the lower")
     if hi - lo + 1 > MAX_KTABLE_ENTRIES:
         raise ValueError(f"range {lo}..{hi} has {hi - lo + 1} degrees, "
                          f"more than the cap {MAX_KTABLE_ENTRIES}")

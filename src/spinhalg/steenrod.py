@@ -17,7 +17,6 @@ the classifying-space cohomologies this package cares about.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -29,6 +28,12 @@ Gen = tuple[int, int]
 Monomial = tuple[tuple[Gen, int], ...]
 
 UNIT: Monomial = ()
+
+# Largest Wu class degree that the CLI computes: `steenrod wu` and
+# `verify-bspinh --max-degree`, and a factor v<k> in a parsed polynomial.
+# The cost grows steeply with the degree: on one core of an Intel Xeon,
+# `wu` takes about 6 s at 40, 50 s at 48 and over two minutes at 56.
+MAX_STEENROD_DEGREE = 40
 
 
 class DegreeCapExceeded(ValueError):
@@ -54,6 +59,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for g, e in b:
         out[g] = out.get(g, 0) + e
     return tuple(sorted(out.items()))
+
+
+def _xor_products(acc: set[Monomial], left: Iterable[Monomial],
+                  right: Iterable[Monomial]) -> None:
+    """Add every product a*b (a in left, b in right) into acc over F2."""
+    for a in left:
+        for b in right:
+            acc.symmetric_difference_update({_mono_mul(a, b)})
 
 
 def _frobenius(terms: Iterable[Monomial]) -> frozenset[Monomial]:
@@ -175,9 +188,7 @@ class F2Polynomial:
         if self.ring != other.ring:
             raise ValueError("polynomials live in different rings")
         acc: set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc.symmetric_difference_update({_mono_mul(a, b)})
+        _xor_products(acc, self.terms, other.terms)
         return F2Polynomial(self.ring, frozenset(acc))
 
     def __pow__(self, e: int) -> "F2Polynomial":
@@ -224,22 +235,6 @@ class F2Polynomial:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sq_generator(ring: StiefelWhitneyRing, k: int, gen: Gen) -> frozenset[Monomial]:
-    """Wu's formula on a single Stiefel-Whitney generator."""
-    index, fam = gen
-    if k == 0:
-        return frozenset({((gen, 1),)})
-    if k > index:
-        return frozenset()
-    primed = fam == 1
-    total = ring.zero()
-    for t in range(0, k + 1):
-        if binom2(k - index, t):
-            total = total + ring.gen(k - t, primed) * ring.gen(index + t, primed)
-    return total.terms
-
-
-@lru_cache(maxsize=None)
 def _sq_power(ring: StiefelWhitneyRing, gen: Gen, e: int, i: int) -> frozenset[Monomial]:
     """Sq^i of the power gen^e, the degree-i part of the total square
     Sq(gen^e) = Sq(gen)^e: Frobenius halves an even exponent, since
@@ -250,20 +245,22 @@ def _sq_power(ring: StiefelWhitneyRing, gen: Gen, e: int, i: int) -> frozenset[M
     if i > gen[0] * e:
         return frozenset()
     if e == 1:
-        return _sq_generator(ring, i, gen)
+        # Wu's formula on the generator itself
+        index, primed = gen[0], gen[1] == 1
+        total = ring.zero()
+        for t in range(0, i + 1):
+            if binom2(i - index, t):
+                total = total + ring.gen(i - t, primed) * ring.gen(index + t, primed)
+        return total.terms
     if e % 2 == 0:
         if i % 2:
             return frozenset()
         return _frobenius(_sq_power(ring, gen, e // 2, i // 2))
     acc: set[Monomial] = set()
     for a in range(max(0, i - gen[0] * (e - 1)), min(i, gen[0]) + 1):
-        left = _sq_generator(ring, a, gen)
-        if not left:
-            continue
-        right = _sq_power(ring, gen, e - 1, i - a)
-        for x in left:
-            for y in right:
-                acc.symmetric_difference_update({_mono_mul(x, y)})
+        left = _sq_power(ring, gen, 1, a)
+        if left:
+            _xor_products(acc, left, _sq_power(ring, gen, e - 1, i - a))
     return frozenset(acc)
 
 
@@ -278,12 +275,8 @@ def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[
     acc: set[Monomial] = set()
     for i in range(max(0, k - monomial_degree(rest)), min(k, gen[0] * e) + 1):
         left = _sq_power(ring, gen, e, i)
-        if not left:
-            continue
-        right = _sq_monomial(ring, k - i, rest)
-        for a in left:
-            for b in right:
-                acc.symmetric_difference_update({_mono_mul(a, b)})
+        if left:
+            _xor_products(acc, left, _sq_monomial(ring, k - i, rest))
     return frozenset(acc)
 
 
@@ -397,6 +390,39 @@ def apply_operation(ops: Iterable[SteenrodMonomial], p: F2Polynomial) -> F2Polyn
 # graded ideals over F2
 # --------------------------------------------------------------------------
 
+def _reduce_row(row: int, rows: list[int], pivots: dict[int, int], mask: int) -> int:
+    # Eliminate every pivot column present, not just the leading one, so
+    # the masked part ends up a canonical coset representative.  Stored
+    # rows have their pivot as leading masked bit, so each XOR strictly
+    # decreases the masked part.
+    while True:
+        bits = row & mask
+        hit = None
+        while bits:
+            b = bits.bit_length() - 1
+            hit = pivots.get(b)
+            if hit is not None:
+                break
+            bits &= (1 << b) - 1
+        if hit is None:
+            return row
+        row ^= rows[hit]
+
+
+def _echelon(rows: Iterable[int], mask: int) -> tuple[list[int], dict[int, int]]:
+    """Reduce F2 rows packed in ints on the columns of mask, keeping each
+    row whose masked part survives; returns the kept rows and the map
+    pivot column -> row number.  Bits outside mask ride along."""
+    kept: list[int] = []
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _reduce_row(row, kept, pivots, mask)
+        if row & mask:
+            pivots[(row & mask).bit_length() - 1] = len(kept)
+            kept.append(row)
+    return kept, pivots
+
+
 @dataclass
 class _Slice:
     monomials: list[Monomial]
@@ -413,9 +439,8 @@ class GradedIdeal:
 
     Rows are packed into Python ints: the low `width` bits are monomial
     coordinates, the high bits track which products were combined, so
-    membership tests come with certificates for free.  Cache population
-    is the only mutation and is lock-guarded; queries afterwards are
-    read-only.
+    membership tests come with certificates for free.  Filling the slice
+    cache is the only mutation; queries afterwards are read-only.
     """
 
     def __init__(self, ring: StiefelWhitneyRing, generators: Iterable[F2Polynomial],
@@ -429,19 +454,11 @@ class GradedIdeal:
                 raise ValueError("ideal generators must be homogeneous")
         self.degree_cap = degree_cap
         self._slices: dict[int, _Slice] = {}
-        self._lock = threading.Lock()
 
     def slice(self, degree: int) -> _Slice:
         if degree > self.degree_cap:
             raise DegreeCapExceeded(
                 f"degree {degree} exceeds cap {self.degree_cap}")
-        cached = self._slices.get(degree)
-        if cached is not None:
-            return cached
-        with self._lock:
-            return self._build_slice(degree)
-
-    def _build_slice(self, degree: int) -> _Slice:
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
@@ -460,37 +477,10 @@ class GradedIdeal:
                     bits ^= 1 << index[_mono_mul(mult, mono)]
                 products.append((mult, gnum))
                 raw_rows.append(bits | (1 << (width + len(products) - 1)))
-        rows: list[int] = []
-        pivots: dict[int, int] = {}
-        mask = (1 << width) - 1
-        for row in raw_rows:
-            row = self._reduce_row(row, rows, pivots, mask)
-            if row & mask:
-                pivot = (row & mask).bit_length() - 1
-                pivots[pivot] = len(rows)
-                rows.append(row)
+        rows, pivots = _echelon(raw_rows, (1 << width) - 1)
         sl = _Slice(monomials, index, rows, pivots, products, width)
         self._slices[degree] = sl
         return sl
-
-    @staticmethod
-    def _reduce_row(row: int, rows: list[int], pivots: dict[int, int], mask: int) -> int:
-        # Eliminate every pivot column present, not just the leading one,
-        # so the monomial part ends up a canonical coset representative.
-        # Stored rows have their pivot as leading monomial bit, so each
-        # XOR strictly decreases the monomial part.
-        while True:
-            bits = row & mask
-            hit = None
-            while bits:
-                b = bits.bit_length() - 1
-                hit = pivots.get(b)
-                if hit is not None:
-                    break
-                bits &= (1 << b) - 1
-            if hit is None:
-                return row
-            row ^= rows[hit]
 
     def rank(self, degree: int) -> int:
         return len(self.slice(degree).rows)
@@ -513,7 +503,7 @@ class GradedIdeal:
         degree = p.degree()
         sl = self.slice(degree)
         mask = (1 << sl.width) - 1
-        row = self._reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask) & mask
+        row = _reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask) & mask
         monos = []
         while row:
             low = row & -row
@@ -539,8 +529,7 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
     degree = p.degree()
     sl = ideal.slice(degree)
     mask = (1 << sl.width) - 1
-    row = GradedIdeal._reduce_row(
-        ideal.coordinates(p, degree), sl.rows, sl.pivots, mask)
+    row = _reduce_row(ideal.coordinates(p, degree), sl.rows, sl.pivots, mask)
     if row & mask:
         return MembershipCertificate(False)
     combo = tuple(sl.products[i]
@@ -667,18 +656,7 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
                 bits ^= 1 << pos[image]
             rows.append(bits)
         # rank of the Sq1 matrix out of degree d
-        pivots: dict[int, int] = {}
-        kept: list[int] = []
-        for row in rows:
-            while row:
-                pivot = row.bit_length() - 1
-                hit = pivots.get(pivot)
-                if hit is None:
-                    pivots[pivot] = len(kept)
-                    kept.append(row)
-                    break
-                row ^= kept[hit]
-        ranks[d] = len(kept)
+        ranks[d] = len(_echelon(rows, (1 << len(pos)) - 1)[0])
 
     out = []
     for d in range(0, max_degree + 1):
@@ -732,6 +710,9 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str,
                 poly = ring.w(int(base[1:]))
             elif base.startswith("v") and base[1:].isdigit():
                 k = int(base[1:])
+                if k > MAX_STEENROD_DEGREE:
+                    raise ValueError(f"Wu class v{k} has degree {k}, "
+                                     f"over the cap {MAX_STEENROD_DEGREE}")
                 if wu_cache is None or len(wu_cache) <= k:
                     wu_cache = wu_classes(ring, k)
                 poly = wu_cache[k]

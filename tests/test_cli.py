@@ -186,6 +186,27 @@ class TestHpTable:
         assert proc.returncode == 1
         assert proc.stderr == ""
 
+    def test_sizes_at_the_cap(self, capsys):
+        code, out, err = run(capsys, "hp-table", "--max-i", "60", "--max-j", "60")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 61)
+        assert lines[0] == "1" + " 0" * 60 and lines[-1].endswith(" 1")
+
+    def test_trunc_at_the_cap(self, capsys):
+        code, out, err = run(capsys, "--trunc", "120", "hp-table", "--max-i", "1",
+                             "--max-j", "1", "--method", "residue")
+        assert (code, out, err) == (0, "1 0\n2 1\n", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("hp-table", "--max-i", "61", "--max-j", "1"), "--max-i 61 exceeds the cap 60"),
+        (("hp-table", "--max-i", "1", "--max-j", "61"), "--max-j 61 exceeds the cap 60"),
+        (("--trunc", "121", "hp-table", "--max-i", "1", "--max-j", "1",
+          "--method", "residue"), "--trunc 121 exceeds the cap 120"),
+    ])
+    def test_above_the_cap_is_an_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
+
     @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_golden_output(self, capsys, case):
@@ -267,6 +288,12 @@ class TestSteenrodCommands:
         assert (code, out) == (1, "")
         assert err == "error[ValueError]: max degree 41 exceeds the cap 40\n"
 
+    @pytest.mark.parametrize("k", ["41", "200"])
+    def test_wu_factor_above_the_cap_is_an_error(self, capsys, k):
+        code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", f"w2+v{k}")
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: Wu class v{k} has degree {k}, over the cap 40\n"
+
     def test_sq_of_a_high_power(self):
         # the Cartan expansion must not recurse once per unit of exponent
         proc = run_subprocess("steenrod", "sq", "--k", "1", "--poly", "w2^2000")
@@ -308,6 +335,14 @@ class TestKtableCommand:
         assert (code, out) == (1, "")
         assert err == ("error[ValueError]: range 0..10000 has 10001 degrees, "
                        "more than the cap 10000\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_range_is_an_error(self, capsys, fmt):
+        code, out, err = run(capsys, "ktable", "--theory", "KO", "--range", "5..3",
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error[ValueError]: range 5..3 is empty: "
+                       "the upper end is below the lower\n")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "ktable", "--theory", "KO", "--coeff", "Z",

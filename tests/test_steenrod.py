@@ -251,6 +251,12 @@ class TestWuClasses:
         for d in range(0, top + 1):
             assert total.graded_part(d) == RING.w(d).graded_part(d), f"degree {d}"
 
+    def test_odd_classes_vanish(self):
+        # every odd Wu class is 0 through degree 31, as on a closed oriented
+        # manifold, where Sq^{2i+1} = Sq^1 Sq^{2i} and v1 = w1 = 0
+        nu = wu_classes(RING, 31)
+        assert [k for k in range(1, 32, 2) if not nu[k].is_zero()] == []
+
     def test_uniqueness_of_triangular_solve(self):
         # re-solving with perturbed start must break the identity
         nu = wu_classes(RING, 6)
@@ -365,6 +371,29 @@ class TestIdeals:
         r = ideal.reduce(p)
         assert ideal.reduce(r) == r
         assert ideal_membership(p + r, ideal).member
+
+    def test_reduce_battery(self):
+        # on random homogeneous p up to degree 14: reduce is idempotent,
+        # p + reduce(p) is a member, and adding m*g for a monomial m and a
+        # relation generator g leaves reduce(p) unchanged
+        ideal = bso_quotient_model("spinh", 14).ideal
+        rng = random.Random(6)
+        added = 0
+        for _ in range(80):
+            degree = rng.randint(2, 14)
+            basis = RING.monomial_basis(degree)
+            p = RING.from_monomials(rng.sample(basis, rng.randint(1, min(4, len(basis)))))
+            r = ideal.reduce(p)
+            assert ideal.reduce(r) == r
+            assert ideal_membership(p + r, ideal).member
+            gens = [g for g in ideal.generators
+                    if RING.monomial_basis(degree - g.degree())]
+            if gens:
+                g = rng.choice(gens)
+                m = rng.choice(RING.monomial_basis(degree - g.degree()))
+                assert ideal.reduce(p + RING.from_monomials([m]) * g) == r
+                added += 1
+        assert added >= 40
 
 
 SPINH_SERIES_20 = [1, 0, 1, 1, 2, 1, 4, 3, 6, 5, 10, 9, 16, 15, 25, 25, 38, 38, 58, 60, 85]
@@ -494,6 +523,13 @@ class TestParser:
             parse_polynomial(RING, "x2")
         with pytest.raises(ValueError):
             parse_polynomial(RING, "")
+
+    def test_wu_factor_at_the_degree_cap(self):
+        # a long enough wu_cache is read, not recomputed
+        cache = [RING.zero()] * 40 + [RING.w(40)]
+        assert parse_polynomial(RING, "v40", wu_cache=cache) == RING.w(40)
+        with pytest.raises(ValueError, match="v41 has degree 41, over the cap 40"):
+            parse_polynomial(RING, "v41", wu_cache=cache + [RING.w(41)])
 
     def test_deterministic_str(self):
         p = parse_polynomial(RING, "w3^2+w2*w4")
