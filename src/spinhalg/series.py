@@ -183,32 +183,17 @@ class GradedSeries:
         return f"GradedSeries(deg={self.variable_degree}, [{head}{tail}])"
 
 
-def compose_even(outer: Sequence[Rational], inner: GradedSeries) -> GradedSeries:
-    """Evaluate the polynomial sum(outer[k] * u^k) at u = inner by Horner.
-
-    Exact when outer is a genuine polynomial (our use: Chebyshev values,
-    even-function power series evaluated at even arguments); if inner has
-    a nonzero constant term the outer coefficients beyond the list do not
-    exist, so the caller must pass the full polynomial.
-    """
-    result = GradedSeries.zero(inner.variable_degree, inner.trunc)
-    for c in reversed(list(outer)):
-        result = result * inner
-        result = GradedSeries(
-            inner.variable_degree,
-            [result.coeffs[0] + Fraction(c)] + list(result.coeffs[1:]))
-    return result
-
-
 # --------------------------------------------------------------------------
 # characteristic-class series
 # --------------------------------------------------------------------------
 
-def sinh_quotient_series(trunc: int) -> GradedSeries:
-    """sinh(x/2)/(x/2) = sum x^(2k) / (4^k (2k+1)!), an even series in x."""
+def _sinh_series(c: Rational, trunc: int) -> GradedSeries:
+    """sinh(cx)/(cx) = sum c^(2k) x^(2k) / (2k+1)!, an even series in x:
+    1/A-hat of one Chern root at c = 1/2, and 1/F(2x) at c = 1."""
+    c_squared = Fraction(c) ** 2
     coeffs = [Fraction(0)] * (trunc + 1)
     for k in range(0, trunc // 2 + 1):
-        coeffs[2 * k] = Fraction(1, 4 ** k * factorial(2 * k + 1))
+        coeffs[2 * k] = c_squared ** k / factorial(2 * k + 1)
     return GradedSeries(2, coeffs)
 
 
@@ -217,7 +202,7 @@ def a_hat_series(trunc: int = DEFAULT_TRUNC) -> GradedSeries:
 
     Expansion starts 1 - x^2/24 + 7 x^4/5760 - ...
     """
-    return sinh_quotient_series(trunc).reciprocal()
+    return _sinh_series(Fraction(1, 2), trunc).reciprocal()
 
 
 def cosh_sqrt_series(trunc: int = DEFAULT_TRUNC // 4) -> GradedSeries:
@@ -229,21 +214,10 @@ def cosh_sqrt_series(trunc: int = DEFAULT_TRUNC // 4) -> GradedSeries:
     return GradedSeries(4, coeffs)
 
 
-def _sinh_ratio_series(trunc: int) -> GradedSeries:
-    """sinh(x)/x = sum x^(2k) / (2k+1)!, which is also 1/F(2x) for the
-    A-hat factor F."""
-    coeffs = [Fraction(0)] * (trunc + 1)
-    for k in range(0, trunc // 2 + 1):
-        coeffs[2 * k] = Fraction(1, factorial(2 * k + 1))
-    return GradedSeries(2, coeffs)
-
-
 def _character_ratio(i: int, inverse_sinh_ratio: GradedSeries) -> GradedSeries:
     """sinh((i+1)x)/x times the shared x/sinh(x)."""
-    num = [Fraction(0)] * (inverse_sinh_ratio.trunc + 1)
-    for k in range(0, inverse_sinh_ratio.trunc // 2 + 1):
-        num[2 * k] = Fraction((i + 1) ** (2 * k + 1), factorial(2 * k + 1))
-    return GradedSeries(2, num) * inverse_sinh_ratio
+    top = inverse_sinh_ratio.trunc
+    return _sinh_series(i + 1, top).scale(i + 1) * inverse_sinh_ratio
 
 
 def character_ratio_series(i: int, trunc: int) -> GradedSeries:
@@ -251,7 +225,7 @@ def character_ratio_series(i: int, trunc: int) -> GradedSeries:
     of the weight-i bundle pulled back to the projective-space variable)."""
     if i < 0:
         raise ValueError("bundle index must be nonnegative")
-    return _character_ratio(i, _sinh_ratio_series(trunc).reciprocal())
+    return _character_ratio(i, _sinh_series(1, trunc).reciprocal())
 
 
 def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
@@ -266,7 +240,7 @@ def _hp_a_hat_classes(max_j: int, trunc: int) -> list[GradedSeries]:
     multiplication by F^2 from the last, over the shared 1/F(2x)."""
     f = a_hat_series(trunc)
     f_squared = f * f
-    inverse_f2x = _sinh_ratio_series(trunc)
+    inverse_f2x = _sinh_series(1, trunc)
     power = f_squared
     classes = [power * inverse_f2x]
     for _ in range(max_j):
@@ -454,29 +428,17 @@ def hp_pairing_residue(i: int, j: int, trunc: int | None = None) -> int:
 
 
 def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
-    """Second-kind Chebyshev polynomial U_i evaluated at 1 + y^2/2,
+    """Second-kind Chebyshev polynomial U_i evaluated at z = 1 + y^2/2,
     as a polynomial series in y whose y^(2j) coefficient is the pairing
-    binomial(i+j+1, i-j)."""
+    binomial(i+j+1, i-j); U_(k+1) = 2z U_k - U_(k-1) runs on the series."""
     if i < 0:
         raise ValueError("index must be nonnegative")
     top = 2 * i if trunc is None else trunc
-    prev = [1]          # U_0
-    cur = [0, 2]        # U_1
-    if i == 0:
-        poly = prev
-    elif i == 1:
-        poly = cur
-    else:
-        for _ in range(i - 1):
-            nxt = [0] + [2 * c for c in cur]
-            for k, c in enumerate(prev):
-                nxt[k] -= c
-            prev, cur = cur, nxt
-        poly = cur
-    inner_coeffs = [Fraction(1), Fraction(0), Fraction(1, 2)][:top + 1]
-    inner_coeffs += [Fraction(0)] * (top + 1 - len(inner_coeffs))
-    inner = GradedSeries(2, inner_coeffs)
-    return compose_even(poly, inner)
+    two_z = GradedSeries(2, ([2, 0, 1] + [0] * top)[:top + 1])
+    prev, cur = GradedSeries.zero(2, top), GradedSeries.one(2, top)  # U_-1, U_0
+    for _ in range(i):
+        prev, cur = cur, two_z * cur - prev
+    return cur
 
 
 def _chebyshev_entry(theta: GradedSeries, j: int) -> int:
@@ -501,7 +463,7 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
         return [[hp_pairing_binomial(i, j) for j in cols] for i in rows]
     if method == "residue":
         top = _residue_truncation(max_j, trunc)
-        inverse_sinh_ratio = _sinh_ratio_series(top).reciprocal()
+        inverse_sinh_ratio = _sinh_series(1, top).reciprocal()
         a_hat_classes = _hp_a_hat_classes(max_j, top)
         matrix = []
         for i in rows:

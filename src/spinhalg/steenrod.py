@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Iterable
 
 # A generator is (index, family): family 0 unprimed, 1 primed.
@@ -41,13 +40,16 @@ class DegreeCapExceeded(ValueError):
 
 
 def binom2(a: int, t: int) -> int:
-    """Generalized binomial coefficient binom(a, t) mod 2, a any integer."""
+    """Generalized binomial coefficient binom(a, t) mod 2, a any integer.
+
+    By Lucas's theorem binom(a, t) is odd for a >= 0 iff the bits of t are
+    among those of a."""
     if t < 0:
         return 0
-    if a >= 0:
-        return comb(a, t) % 2 if t <= a else 0
-    # binom(-n, t) = (-1)^t binom(n+t-1, t); signs vanish mod 2
-    return comb(-a + t - 1, t) % 2
+    if a < 0:
+        # binom(-n, t) = (-1)^t binom(n+t-1, t); signs vanish mod 2
+        a = t - a - 1
+    return int(a & t == t)
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -346,7 +348,7 @@ def adem_reduce(mono: SteenrodMonomial) -> frozenset[SteenrodMonomial]:
         acc: dict[SteenrodMonomial, int] = {}
         for c in range(0, a // 2 + 1):
             upper, t = b - c - 1, a - 2 * c
-            if 0 <= t <= upper and comb(upper, t) % 2:
+            if binom2(upper, t):
                 replacement = (a + b - c,) + ((c,) if c else ())
                 for reduced in adem_reduce(head + replacement + tail):
                     acc[reduced] = acc.get(reduced, 0) ^ 1

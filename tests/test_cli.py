@@ -9,6 +9,7 @@ import pytest
 import spinhalg
 from spinhalg.cli import main
 from spinhalg.schemas import SchemaError, load_schema, validate
+from spinhalg.steenrod import StiefelWhitneyRing
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -300,6 +301,19 @@ class TestSteenrodCommands:
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
         assert "Traceback" not in proc.stderr
+
+    def test_sq_on_a_large_generator(self):
+        # Wu's formula Sq^k w_m = sum_t binom(m - k + t - 1, t) w_(k-t) w_(m+t),
+        # the parity of binom(M, t) by Kummer: no carry in t + (M - t)
+        k, m = 20000, 40000
+        ring = StiefelWhitneyRing()
+        expected = ring.zero()
+        for t in range(k + 1):
+            top = m - k + t - 1
+            if t & (top - t) == 0:
+                expected = expected + ring.w(k - t) * ring.w(m + t)
+        proc = run_subprocess("steenrod", "sq", "--k", str(k), "--poly", f"w{m}", timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{expected}\n", "")
 
 
 class TestKtableCommand:

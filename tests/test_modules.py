@@ -14,7 +14,6 @@ from spinhalg.modules import (
     ngroup,
     ngroup_bigraded,
     scalar_change,
-    ungraded_irreducible_dimension,
 )
 
 
@@ -67,9 +66,21 @@ class TestFundamentalDimension:
     @pytest.mark.parametrize("field", sorted(DIMS))
     @pytest.mark.parametrize("n", range(1, 25))
     def test_cross_check_against_classification(self, n, field):
-        # graded fundamental over Cl_n = twice an ungraded irreducible
-        # over Cl_{n-1} (with matching field structure)
-        assert fundamental_dimension(n, field) == 2 * ungraded_irreducible_dimension(n - 1, field)
+        # each family against another normal form of classify: CCl_n has
+        # complex period 2, and Cl_(n+4) = Cl_n (x) H(2), so the R and H
+        # dimensions differ by a shift of 4 and a factor 2 or 8
+        if field == "C":
+            assert fundamental_dimension(n, "C") == 2 ** ((n + 1) // 2 + 1)
+        elif field == "H":
+            assert 2 * fundamental_dimension(n, "H") == fundamental_dimension(n + 4, "R")
+        else:
+            assert fundamental_dimension(n + 4, "H") == 8 * fundamental_dimension(n, "R")
+
+    def test_relations_up_to_the_cap(self):
+        for n in range(1, 1025):
+            assert fundamental_dimension(n, "C") == 2 ** ((n + 1) // 2 + 1), n
+        for n in range(1, 1021):
+            assert 2 * fundamental_dimension(n, "H") == fundamental_dimension(n + 4, "R"), n
 
     @pytest.mark.parametrize("field", sorted(DIMS))
     def test_padded_table_up_to_the_cap(self, field):

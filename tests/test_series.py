@@ -8,10 +8,10 @@ from spinhalg.series import (
     GradedSeries,
     P1EulerPoly,
     _hp_a_hat_classes,
+    _sinh_series,
     a_hat_series,
     character_ratio_series,
     chebyshev_theta,
-    compose_even,
     cosh_sqrt_series,
     genus_4manifold,
     hp_a_hat_class,
@@ -52,12 +52,6 @@ class TestGradedSeries:
         t = GradedSeries(2, [1, 2, 3])
         assert t.with_trunc(1).coeffs == (1, 2)
         assert t.with_trunc(4).coeffs == (1, 2, 3, 0, 0)
-
-    def test_compose_even_polynomial(self):
-        # (1 + u)^2 at u = t^2: 1 + 2t^2 + t^4
-        inner = GradedSeries(2, [0, 0, 1, 0, 0])
-        out = compose_even([1, 2, 1], inner)
-        assert out.coeffs == (1, 0, 2, 0, 1)
 
 
 # Frozen from a symbolic expansion of x/(2 sinh(x/2)):
@@ -224,6 +218,25 @@ class TestChebyshevTheta:
 
     def test_odd_coefficients_vanish(self):
         assert chebyshev_theta(5).is_even()
+
+    @pytest.mark.parametrize("i", range(21))
+    def test_against_sympy(self, i):
+        y = sympy.symbols("y")
+        poly = sympy.Poly(sympy.expand(sympy.chebyshevu(i, 1 + y**2 / 2)), y)
+        for t in sorted({0, 1, 2, i, 2 * i - 1, 2 * i, 2 * i + 3} - {-1}):
+            expected = [F(str(poly.coeff_monomial(y**k))) for k in range(t + 1)]
+            assert list(chebyshev_theta(i, t).coeffs) == expected, t
+
+
+class TestSinhSeries:
+    @pytest.mark.parametrize("c", [F(1, 2), 1, 2, 5])
+    def test_against_sympy(self, c):
+        x = sympy.symbols("x")
+        cx = sympy.Rational(str(c)) * x
+        expansion = sympy.series(sympy.sinh(cx) / cx, x, 0, 25).removeO()
+        expected = [F(str(expansion.coeff(x, k))) for k in range(25)]
+        for t in range(25):
+            assert list(_sinh_series(c, t).coeffs) == expected[:t + 1], t
 
 
 class TestClosedManifoldModel:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from functools import lru_cache
+from math import comb
 
 import pytest
 import sympy
@@ -84,6 +85,20 @@ class TestGeneratorAction:
         assert binom2(-1, 3) == 1
         assert binom2(3, 5) == 0
         assert binom2(4, 2) == 0
+
+    def test_binom2_against_comb(self):
+        # rows a >= 0 by math.comb; rows a < 0 by Pascal's rule run downward
+        # from binom(0, t) = [t == 0]: binom(a, t) = binom(a + 1, t) - binom(a, t - 1)
+        ts = range(-3, 300)
+        row = {t: int(t == 0) for t in ts}
+        for a in range(-1, -301, -1):
+            below = {}
+            for t in ts:
+                below[t] = 1 if t == 0 else 0 if t < 0 else (row[t] + below[t - 1]) % 2
+            row = below
+            assert [binom2(a, t) for t in ts] == [row[t] for t in ts], a
+        for a in range(300):
+            assert [binom2(a, t) for t in ts] == [comb(a, t) % 2 if t >= 0 else 0 for t in ts], a
 
 
 class TestCartan:
@@ -299,6 +314,14 @@ class TestAdem:
                 reduced = adem_reduce((a, b))
                 for p in polys:
                     assert apply_monomial((a, b), p) == apply_operation(reduced, p)
+
+
+class TestAdemProperty:
+    @settings(max_examples=60, deadline=4000, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 8), min_size=2, max_size=3), monomial_lists)
+    def test_adem_reduce_acts_as_the_squares(self, mono, p_lists):
+        p, mono = poly_from_lists(p_lists), tuple(mono)
+        assert apply_monomial(mono, p) == apply_operation(adem_reduce(mono), p)
 
 
 class TestChi:
