@@ -18,7 +18,7 @@ the classifying-space cohomologies this package cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 # A generator is (index, family): family 0 unprimed, 1 primed.
@@ -31,7 +31,7 @@ UNIT: Monomial = ()
 # Largest Wu class degree that the CLI computes: `steenrod wu` and
 # `verify-bspinh --max-degree`, and a factor v<k> in a parsed polynomial.
 # The cost grows steeply with the degree: on one core of an Intel Xeon,
-# `wu` takes about 6 s at 40, 50 s at 48 and over two minutes at 56.
+# `wu_classes` takes about 1 s at 40, 6.5 s at 48 and 50 s at 56.
 MAX_STEENROD_DEGREE = 40
 
 
@@ -233,53 +233,162 @@ class F2Polynomial:
 
 
 # --------------------------------------------------------------------------
-# Steenrod squares
+# Steenrod squares on packed monomials
 # --------------------------------------------------------------------------
+#
+# The Cartan kernels code a monomial as one int (Monagan-Pearce packed
+# exponent vectors): a layout lists generators in slot order and fixes a
+# field width, and the exponent of the generator in slot s sits in bits
+# s * width .. (s + 1) * width - 1.  A product is then an integer add and
+# Frobenius a doubling, as long as no field carries, so a layout's width
+# holds every exponent the call that picks it can reach.
+
+# Calls whose reachable generators all have index at most this share one
+# layout per ring and width (and so share cache entries); a call reaching
+# further gets a compact layout of just the generators it can reach, so
+# that codes grow with k and not with the generator index.
+DENSE_MAX_INDEX = 160
+
+
+def _decode(gens: tuple[Gen, ...], width: int, code: int) -> Monomial:
+    """The tuple monomial of a code, read from its highest field down."""
+    out = []
+    while code:
+        shift = (code.bit_length() - 1) // width * width
+        out.append((gens[shift // width], code >> shift))
+        code &= (1 << shift) - 1
+    out.reverse()
+    return tuple(out)
+
+
+class _Layout:
+    """Generators in sorted slot order and a field width.  Made only by
+    _layout, so equal layouts are one object and hash by identity."""
+
+    __slots__ = ("ring", "gens", "slot", "width", "mask", "decode")
+
+    def __init__(self, ring: StiefelWhitneyRing, gens: tuple[Gen, ...], width: int):
+        self.ring = ring
+        self.gens = gens
+        self.slot = {g: s for s, g in enumerate(gens)}
+        self.width = width
+        self.mask = (1 << width) - 1
+        # One monomial turns up in the squares of many others, so decoding
+        # is cached.  Keyed by the bare int, the cache holds nothing the
+        # garbage collector has to scan; it goes with the layout when the
+        # module caches are cleared.
+        self.decode = lru_cache(maxsize=None)(partial(_decode, gens, width))
+
+    def encode(self, mono: Monomial) -> int:
+        return sum(e << self.slot[g] * self.width for g, e in mono)
+
+    def gen_code(self, index: int, family: int) -> int | None:
+        """Code of w_index in the family, None where the class is 0."""
+        if index == 0:
+            return 0
+        if index == 1 or (family and index > self.ring.primed_max):
+            return None
+        return 1 << self.slot[(index, family)] * self.width
+
 
 @lru_cache(maxsize=None)
-def _sq_power(ring: StiefelWhitneyRing, gen: Gen, e: int, i: int) -> frozenset[Monomial]:
-    """Sq^i of the power gen^e, the degree-i part of the total square
-    Sq(gen^e) = Sq(gen)^e: Frobenius halves an even exponent, since
-    Sq^{2j}(x^2) = (Sq^j x)^2 and the odd squares of x^2 vanish; an odd
-    exponent takes one Cartan step against Wu's formula on gen."""
+def _layout(ring: StiefelWhitneyRing, gens: tuple[Gen, ...], width: int) -> _Layout:
+    return _Layout(ring, gens, width)
+
+
+@lru_cache(maxsize=None)
+def _dense_layout(ring: StiefelWhitneyRing, width: int) -> _Layout:
+    gens = tuple(sorted(ring.generators_up_to(DENSE_MAX_INDEX)))
+    return _layout(ring, gens, width)
+
+
+def _pick_layout(ring: StiefelWhitneyRing, reach: int, bound: int,
+                 spans: Iterable[tuple[int, int, int]]) -> _Layout:
+    """A layout for a call whose generator indices stay at or below reach
+    and whose exponents stay at or below bound; spans lists the reachable
+    generators as (family, lowest index, highest index)."""
+    if reach <= DENSE_MAX_INDEX:
+        return _dense_layout(ring, bound.bit_length())
+    gens = {(j, family) for family, lo, hi in spans for j in range(lo, hi + 1)}
+    return _layout(ring, tuple(sorted(gens)), bound.bit_length())
+
+
+def _xor_sums(acc: set[int], left: Iterable[int], right: Iterable[int]) -> None:
+    """Add every product of packed monomials a*b (a in left, b in right)
+    into acc over F2; for one a the sums a + b are distinct."""
+    for a in left:
+        acc ^= {a + b for b in right}
+
+
+@lru_cache(maxsize=None)
+def _sq_power(layout: _Layout, slot: int, e: int, i: int) -> frozenset[int]:
+    """Sq^i of the power g^e of the generator g in the slot, the degree-i
+    part of the total square Sq(g^e) = Sq(g)^e: Frobenius halves an even
+    exponent, since Sq^{2j}(x^2) = (Sq^j x)^2 and the odd squares of x^2
+    vanish; an odd exponent takes one Cartan step against Wu's formula."""
+    index, family = layout.gens[slot]
     if i == 0:
-        return frozenset({((gen, e),)})
-    if i > gen[0] * e:
+        return frozenset({e << slot * layout.width})
+    if i > index * e:
         return frozenset()
+    acc: set[int] = set()
     if e == 1:
         # Wu's formula on the generator itself
-        index, primed = gen[0], gen[1] == 1
-        total = ring.zero()
         for t in range(0, i + 1):
             if binom2(i - index, t):
-                total = total + ring.gen(i - t, primed) * ring.gen(index + t, primed)
-        return total.terms
+                left = layout.gen_code(i - t, family)
+                right = layout.gen_code(index + t, family)
+                if left is not None and right is not None:
+                    acc ^= {left + right}
+        return frozenset(acc)
     if e % 2 == 0:
         if i % 2:
             return frozenset()
-        return _frobenius(_sq_power(ring, gen, e // 2, i // 2))
-    acc: set[Monomial] = set()
-    for a in range(max(0, i - gen[0] * (e - 1)), min(i, gen[0]) + 1):
-        left = _sq_power(ring, gen, 1, a)
+        return frozenset(2 * c for c in _sq_power(layout, slot, e // 2, i // 2))
+    for a in range(max(0, i - index * (e - 1)), min(i, index) + 1):
+        left = _sq_power(layout, slot, 1, a)
         if left:
-            _xor_products(acc, left, _sq_power(ring, gen, e - 1, i - a))
+            _xor_sums(acc, left, _sq_power(layout, slot, e - 1, i - a))
+    return frozenset(acc)
+
+
+@lru_cache(maxsize=None)
+def _sq_code(layout: _Layout, k: int, code: int, degree: int) -> frozenset[int]:
+    """Sq^k of a packed monomial of the given degree: the Cartan rule
+    splits off the whole power of its lowest generator."""
+    if k == 0:
+        return frozenset({code})
+    if k > degree:
+        return frozenset()
+    slot = ((code & -code).bit_length() - 1) // layout.width
+    e = code >> slot * layout.width & layout.mask
+    power_degree = layout.gens[slot][0] * e
+    rest, rest_degree = code - (e << slot * layout.width), degree - power_degree
+    acc: set[int] = set()
+    for i in range(max(0, k - rest_degree), min(k, power_degree) + 1):
+        left = _sq_power(layout, slot, e, i)
+        if left:
+            _xor_sums(acc, left, _sq_code(layout, k - i, rest, rest_degree))
     return frozenset(acc)
 
 
 @lru_cache(maxsize=None)
 def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[Monomial]:
+    """Sq^k of one monomial, decoded once for every later caller."""
+    degree = monomial_degree(mono)
     if k == 0:
         return frozenset({mono})
-    if k > monomial_degree(mono):
+    if k > degree:
         return frozenset()
-    # peel the whole power of the first generator and apply the Cartan rule
-    (gen, e), rest = mono[0], mono[1:]
-    acc: set[Monomial] = set()
-    for i in range(max(0, k - monomial_degree(rest)), min(k, gen[0] * e) + 1):
-        left = _sq_power(ring, gen, e, i)
-        if left:
-            _xor_products(acc, left, _sq_monomial(ring, k - i, rest))
-    return frozenset(acc)
+    # Sq^i(w_j) = sum_t w_{i-t} w_{j+t} reaches indices in [2, k] and
+    # [j, j + k] of w_j's family, none above the result degree; every
+    # generator has degree >= 2 and Sq turns each factor into at most two.
+    top = degree + k
+    spans = ((family, lo, min(hi, top, ring.primed_max if family else top))
+             for (index, family), _ in mono for lo, hi in ((2, k), (index, index + k)))
+    layout = _pick_layout(ring, min(top, mono[-1][0][0] + k),
+                          min(top // 2, 2 * sum(e for _, e in mono)), spans)
+    return frozenset(map(layout.decode, _sq_code(layout, k, layout.encode(mono), degree)))
 
 
 def sq(k: int, p: F2Polynomial) -> F2Polynomial:
@@ -307,13 +416,16 @@ def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
     each class uniquely; orientation forces v_1 = 0."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    nu = [ring.one()]
+    # v_k has degree k: no index passes k and no exponent k // 2
+    layout = _pick_layout(ring, max_degree, max_degree // 2, [(0, 2, max_degree)])
+    nu: list[set[int]] = [{0}]
     for k in range(1, max_degree + 1):
-        terms = set(ring.w(k).terms)
+        terms = set() if k == 1 else {layout.gen_code(k, 0)}
         for i in range(1, k):
-            terms ^= sq(i, nu[k - i]).terms
-        nu.append(F2Polynomial(ring, frozenset(terms)))
-    return nu
+            for code in nu[k - i]:
+                terms ^= _sq_code(layout, i, code, k - i)
+        nu.append(terms)
+    return [F2Polynomial(ring, frozenset(map(layout.decode, terms))) for terms in nu]
 
 
 # --------------------------------------------------------------------------
@@ -689,6 +801,12 @@ def sq1_homology_oracle(max_degree: int) -> list[int]:
 # polynomial text grammar (CLI surface): w<i>, v<i>, +, *, ^
 # --------------------------------------------------------------------------
 
+def _is_digits(text: str) -> bool:
+    """A nonempty run of ASCII digits; str.isdigit alone also passes the
+    digits of other scripts, which int() reads as numbers."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_polynomial(ring: StiefelWhitneyRing, text: str,
                      wu_cache: list[F2Polynomial] | None = None) -> F2Polynomial:
     text = text.replace(" ", "")
@@ -702,15 +820,17 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str,
             raise ValueError("empty term in polynomial")
         factor_total = ring.one()
         for factor in term.split("*"):
-            base, _, exp = factor.partition("^")
-            e = int(exp) if exp else 1
-            if e < 0:
+            base, caret, exp = factor.partition("^")
+            if exp[:1] == "-" and _is_digits(exp[1:]):
                 raise ValueError("negative exponent")
+            if caret and not _is_digits(exp):
+                raise ValueError(f"cannot parse factor {factor!r}")
+            e = int(exp) if caret else 1
             if base == "1":
                 poly = ring.one()
-            elif base.startswith("w") and base[1:].isdigit():
+            elif base[:1] == "w" and _is_digits(base[1:]):
                 poly = ring.w(int(base[1:]))
-            elif base.startswith("v") and base[1:].isdigit():
+            elif base[:1] == "v" and _is_digits(base[1:]):
                 k = int(base[1:])
                 if k > MAX_STEENROD_DEGREE:
                     raise ValueError(f"Wu class v{k} has degree {k}, "

@@ -295,6 +295,20 @@ class TestSteenrodCommands:
         assert (code, out) == (1, "")
         assert err == f"error[ValueError]: Wu class v{k} has degree {k}, over the cap 40\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("factor", [
+        "w2^",          # an empty exponent is not 1
+        "w２",      # fullwidth digit two
+        "w2^٣",    # Arabic-Indic digit three
+        "v٤",      # Arabic-Indic digit four
+        "w2^3_0",       # int() reads the underscore
+    ])
+    def test_malformed_factor_is_an_error(self, capsys, fmt, factor):
+        code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", factor,
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: cannot parse factor {factor!r}\n"
+
     def test_sq_of_a_high_power(self):
         # the Cartan expansion must not recurse once per unit of exponent
         proc = run_subprocess("steenrod", "sq", "--k", "1", "--poly", "w2^2000")

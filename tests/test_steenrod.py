@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinhalg.steenrod import (
+    DENSE_MAX_INDEX,
     UNIT,
     DegreeCapExceeded,
     GradedIdeal,
@@ -158,6 +162,20 @@ def frobenius(p, m):
     return RING.from_monomials(tuple((g, e << m) for g, e in mono) for mono in p.terms)
 
 
+def total_square_of_power(j, e, top):
+    """Graded parts 0..top of Sq(w_j^e): the product over the binary digits
+    2^m of e of Sq(w_j)^(2^m), whose degree-(a 2^m) part is the m-fold
+    Frobenius of Sq^a(w_j)."""
+    reference = [RING.one()] + [RING.zero()] * top
+    for m in range(e.bit_length()):
+        if e >> m & 1:
+            factor = [RING.zero()] * (top + 1)
+            for a, part in enumerate(total_square_of_generator(j, top >> m)):
+                factor[a << m] = frobenius(part, m)
+            reference = graded_product(reference, factor)
+    return reference
+
+
 class TestCartanReference:
     def test_monomials_against_unit_expansion(self):
         # the Cartan rule applied one generator factor at a time
@@ -185,20 +203,38 @@ class TestCartanReference:
     @pytest.mark.parametrize("j", [2, 3, 7])
     @pytest.mark.parametrize("e", [2000, 2047, 3001, 4095, 4096])
     def test_large_powers(self, j, e):
-        # Sq(w_j^e) is the product over the binary digits 2^m of e of
-        # Sq(w_j)^(2^m), whose degree-(a 2^m) part is the m-fold Frobenius
-        # of Sq^a(w_j).
-        top = 20
-        reference = [RING.one()] + [RING.zero()] * top
-        for m in range(e.bit_length()):
-            if e >> m & 1:
-                factor = [RING.zero()] * (top + 1)
-                for a, part in enumerate(total_square_of_generator(j, top >> m)):
-                    factor[a << m] = frobenius(part, m)
-                reference = graded_product(reference, factor)
+        reference = total_square_of_power(j, e, 20)
         power = RING.w(j) ** e
         for k in (1, 2, 3, 4, 8, 13, 16, 20):
             assert sq(k, power) == reference[k], (j, e, k)
+
+    @pytest.mark.parametrize("e", [127, 128, 255, 256, 511])
+    def test_exponents_at_the_field_width_edges(self, e):
+        # the packed kernels size each exponent field from a bound on the
+        # exponents a call reaches; w2^e * w3 reaches w2^(e + k/2)
+        top = 20
+        reference = graded_product(total_square_of_power(2, e, top),
+                                   total_square_of_generator(3, top))
+        x = RING.w(2) ** e * RING.w(3)
+        for k in range(top + 1):
+            assert sq(k, x) == reference[k], (e, k)
+
+    def test_two_large_generators(self):
+        # far past the dense layout's indices: the packed codes must stay
+        # small (an index-based layout would need gigabytes here)
+        a, b, k = 30000, 40000, 120
+        x = RING.w(a) * RING.w(b)
+        tracemalloc.start()
+        try:
+            got = sq(k, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = RING.zero()
+        for i in range(k + 1):
+            expected = expected + wu_reference(i, a) * wu_reference(k - i, b)
+        assert got == expected
+        assert peak < 16 * 2**20
 
     def test_squares_of_a_power_of_two(self):
         x = RING.w(2) ** 4096
@@ -232,6 +268,15 @@ class TestPower:
         assert str(RING.w(2) ** 10**6) == "w2^1000000"
 
 
+# generator indices on both sides of the switch from the dense layout to
+# compact ones, so that p, q and p*q get different layouts
+layout_lists = st.lists(
+    st.lists(st.one_of(st.integers(2, 12),
+                       st.integers(DENSE_MAX_INDEX - 10, DENSE_MAX_INDEX + 10)),
+             min_size=0, max_size=2),
+    min_size=1, max_size=2)
+
+
 class TestCartanProperty:
     @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
     @given(monomial_lists, monomial_lists, st.integers(0, 12))
@@ -242,8 +287,39 @@ class TestCartanProperty:
             rhs = rhs + sq(i, p) * sq(k - i, q)
         assert sq(k, p * q) == rhs
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(layout_lists, layout_lists, st.integers(0, 20))
+    def test_cartan_across_layouts(self, p_lists, q_lists, k):
+        p, q = poly_from_lists(p_lists), poly_from_lists(q_lists)
+        rhs = RING.zero()
+        for i in range(k + 1):
+            rhs = rhs + sq(i, p) * sq(k - i, q)
+        assert sq(k, p * q) == rhs
+
+
+def bench_oracles():
+    """bench/oracles.py, whose total-square Steenrod action on bit-packed
+    monomials shares no code with spinhalg.steenrod."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 class TestWuClasses:
+    def test_total_identity_by_the_bench_oracle(self):
+        # Sq(v) = w through degree 28, on the printed classes
+        oracles = bench_oracles()
+        top = 28
+        classes = [oracles.parse_poly(str(v)) for v in wu_classes(RING, top)]
+        for n in range(top + 1):
+            total = set()
+            for i in range(n + 1):
+                total ^= oracles.sq_poly(i, classes[n - i])
+            w_n = oracles._w(n)
+            assert total == (set() if w_n is None else {w_n}), f"degree {n}"
+
     def test_low_values(self):
         nu = wu_classes(RING, 8)
         assert nu[0] == RING.one()
