@@ -63,20 +63,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def _xor_products(acc: set[Monomial], left: Iterable[Monomial],
-                  right: Iterable[Monomial]) -> None:
-    """Add every product a*b (a in left, b in right) into acc over F2."""
-    for a in left:
-        for b in right:
-            acc.symmetric_difference_update({_mono_mul(a, b)})
-
-
-def _frobenius(terms: Iterable[Monomial]) -> frozenset[Monomial]:
-    """The square of a sum of monomials over F2: every exponent doubles,
-    and distinct monomials have distinct squares, so nothing cancels."""
-    return frozenset(tuple((g, 2 * e) for g, e in m) for m in terms)
-
-
 @dataclass(frozen=True)
 class StiefelWhitneyRing:
     """Z2[w_i | i >= 2] (oriented), with an optional primed family
@@ -190,7 +176,9 @@ class F2Polynomial:
         if self.ring != other.ring:
             raise ValueError("polynomials live in different rings")
         acc: set[Monomial] = set()
-        _xor_products(acc, self.terms, other.terms)
+        for a in self.terms:
+            for b in other.terms:
+                acc.symmetric_difference_update({_mono_mul(a, b)})
         return F2Polynomial(self.ring, frozenset(acc))
 
     def __pow__(self, e: int) -> "F2Polynomial":
@@ -201,7 +189,10 @@ class F2Polynomial:
                 out = out * base
             e >>= 1
             if e:
-                base = F2Polynomial(self.ring, _frobenius(base.terms))
+                # squaring over F2 doubles every exponent, and distinct
+                # monomials have distinct squares, so nothing cancels
+                base = F2Polynomial(self.ring, frozenset(
+                    tuple((g, 2 * f) for g, f in m) for m in base.terms))
         return out
 
     def __eq__(self, other):
@@ -243,11 +234,15 @@ class F2Polynomial:
 # Frobenius a doubling, as long as no field carries, so a layout's width
 # holds every exponent the call that picks it can reach.
 
-# Calls whose reachable generators all have index at most this share one
-# layout per ring and width (and so share cache entries); a call reaching
-# further gets a compact layout of just the generators it can reach, so
-# that codes grow with k and not with the generator index.
-DENSE_MAX_INDEX = 160
+# Every layout holds all generators up to BASE_INDEX, so calls that stay
+# below it share one layout per ring and width, and with it their cache
+# entries; above it a layout holds only the generators its call can reach,
+# so that codes grow with k and not with the generator index.  The base
+# covers the repeated calls behind the CLI's Wu-class work (wu_classes up
+# to degree MAX_STEENROD_DEGREE + 1, Sq^1 on classes of degree up to
+# MAX_STEENROD_DEGREE); a larger base lengthens every code and raises the
+# peak memory of large calls.
+BASE_INDEX = MAX_STEENROD_DEGREE + 1
 
 
 def _decode(gens: tuple[Gen, ...], width: int, code: int) -> Monomial:
@@ -292,25 +287,29 @@ class _Layout:
 
 
 @lru_cache(maxsize=None)
-def _layout(ring: StiefelWhitneyRing, gens: tuple[Gen, ...], width: int) -> _Layout:
+def _layout(ring: StiefelWhitneyRing, runs: tuple[tuple[int, int, int], ...],
+            width: int) -> _Layout:
+    high = [(j, family) for family, lo, hi in runs for j in range(lo, hi + 1)]
+    gens = tuple(sorted(ring.generators_up_to(BASE_INDEX) + high))
     return _Layout(ring, gens, width)
 
 
-@lru_cache(maxsize=None)
-def _dense_layout(ring: StiefelWhitneyRing, width: int) -> _Layout:
-    gens = tuple(sorted(ring.generators_up_to(DENSE_MAX_INDEX)))
-    return _layout(ring, gens, width)
-
-
-def _pick_layout(ring: StiefelWhitneyRing, reach: int, bound: int,
-                 spans: Iterable[tuple[int, int, int]]) -> _Layout:
-    """A layout for a call whose generator indices stay at or below reach
-    and whose exponents stay at or below bound; spans lists the reachable
-    generators as (family, lowest index, highest index)."""
-    if reach <= DENSE_MAX_INDEX:
-        return _dense_layout(ring, bound.bit_length())
-    gens = {(j, family) for family, lo, hi in spans for j in range(lo, hi + 1)}
-    return _layout(ring, tuple(sorted(gens)), bound.bit_length())
+def _pick_layout(ring: StiefelWhitneyRing, spans: Iterable[tuple[int, int, int]],
+                 bound: int) -> _Layout:
+    """A layout for a call whose exponents stay at or below bound and whose
+    generators past the base lie in spans, given as (family, lowest index,
+    highest index); their parts above BASE_INDEX, merged into disjoint runs,
+    are the layout's key."""
+    runs: list[list[int]] = []
+    for family, lo, hi in sorted(spans):
+        lo = max(lo, BASE_INDEX + 1)
+        if lo > hi:
+            continue
+        if runs and runs[-1][0] == family and lo <= runs[-1][2] + 1:
+            runs[-1][2] = max(runs[-1][2], hi)
+        else:
+            runs.append([family, lo, hi])
+    return _layout(ring, tuple(map(tuple, runs)), bound.bit_length())
 
 
 def _xor_sums(acc: set[int], left: Iterable[int], right: Iterable[int]) -> None:
@@ -381,13 +380,12 @@ def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[
     if k > degree:
         return frozenset()
     # Sq^i(w_j) = sum_t w_{i-t} w_{j+t} reaches indices in [2, k] and
-    # [j, j + k] of w_j's family, none above the result degree; every
-    # generator has degree >= 2 and Sq turns each factor into at most two.
-    top = degree + k
-    spans = ((family, lo, min(hi, top, ring.primed_max if family else top))
-             for (index, family), _ in mono for lo, hi in ((2, k), (index, index + k)))
-    layout = _pick_layout(ring, min(top, mono[-1][0][0] + k),
-                          min(top // 2, 2 * sum(e for _, e in mono)), spans)
+    # [j, j + k] of w_j's family; every generator has degree >= 2 and Sq
+    # turns each factor into at most two.
+    spans = [(family, lo, min(hi, ring.primed_max) if family else hi)
+             for (index, family), _ in mono for lo, hi in ((2, k), (index, index + k))
+             if hi > BASE_INDEX]
+    layout = _pick_layout(ring, spans, min((degree + k) // 2, 2 * sum(e for _, e in mono)))
     return frozenset(map(layout.decode, _sq_code(layout, k, layout.encode(mono), degree)))
 
 
@@ -417,7 +415,7 @@ def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     # v_k has degree k: no index passes k and no exponent k // 2
-    layout = _pick_layout(ring, max_degree, max_degree // 2, [(0, 2, max_degree)])
+    layout = _pick_layout(ring, [(0, 2, max_degree)], max_degree // 2)
     nu: list[set[int]] = [{0}]
     for k in range(1, max_degree + 1):
         terms = set() if k == 1 else {layout.gen_code(k, 0)}
@@ -821,11 +819,11 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str,
         factor_total = ring.one()
         for factor in term.split("*"):
             base, caret, exp = factor.partition("^")
-            if exp[:1] == "-" and _is_digits(exp[1:]):
-                raise ValueError("negative exponent")
-            if caret and not _is_digits(exp):
+            if caret and not _is_digits(exp.removeprefix("-")):
                 raise ValueError(f"cannot parse factor {factor!r}")
             e = int(exp) if caret else 1
+            if e < 0:
+                raise ValueError("negative exponent")
             if base == "1":
                 poly = ring.one()
             elif base[:1] == "w" and _is_digits(base[1:]):

@@ -302,12 +302,21 @@ class TestSteenrodCommands:
         "w2^٣",    # Arabic-Indic digit three
         "v٤",      # Arabic-Indic digit four
         "w2^3_0",       # int() reads the underscore
+        "w2^-",         # a sign alone is no exponent
+        "w2^--3",
     ])
     def test_malformed_factor_is_an_error(self, capsys, fmt, factor):
         code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", factor,
                              "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"error[ValueError]: cannot parse factor {factor!r}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_exponent_is_an_error(self, capsys, fmt):
+        code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", "w2^-3",
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error[ValueError]: negative exponent\n"
 
     def test_sq_of_a_high_power(self):
         # the Cartan expansion must not recurse once per unit of exponent

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinhalg.steenrod import (
-    DENSE_MAX_INDEX,
+    BASE_INDEX,
     UNIT,
     DegreeCapExceeded,
     GradedIdeal,
@@ -220,7 +220,7 @@ class TestCartanReference:
             assert sq(k, x) == reference[k], (e, k)
 
     def test_two_large_generators(self):
-        # far past the dense layout's indices: the packed codes must stay
+        # far past the packed layouts' base block: the codes must stay
         # small (an index-based layout would need gigabytes here)
         a, b, k = 30000, 40000, 120
         x = RING.w(a) * RING.w(b)
@@ -268,11 +268,11 @@ class TestPower:
         assert str(RING.w(2) ** 10**6) == "w2^1000000"
 
 
-# generator indices on both sides of the switch from the dense layout to
-# compact ones, so that p, q and p*q get different layouts
+# generator indices on both sides of the packed layouts' base block, so
+# that p, q and p*q get different layouts
 layout_lists = st.lists(
     st.lists(st.one_of(st.integers(2, 12),
-                       st.integers(DENSE_MAX_INDEX - 10, DENSE_MAX_INDEX + 10)),
+                       st.integers(BASE_INDEX - 10, BASE_INDEX + 10)),
              min_size=0, max_size=2),
     min_size=1, max_size=2)
 
@@ -616,6 +616,7 @@ class TestParser:
     def test_whitespace_and_unit(self):
         assert parse_polynomial(RING, " 1 + w2 ") == RING.one() + RING.w(2)
         assert parse_polynomial(RING, "0").is_zero()
+        assert parse_polynomial(RING, "w3*w2^0*w2^-0") == RING.w(3)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
