@@ -163,12 +163,21 @@ def _cmd_steenrod_verify(args) -> str:
     return "\n".join(lines)
 
 
+def _parse_int(text: str) -> int:
+    """int() restricted to an optional sign and ASCII digits: int() alone
+    also reads the digits of other scripts and underscores."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     if not hi:
-        value = int(lo)
+        value = _parse_int(lo)
         return value, value
-    return int(lo), int(hi)
+    return _parse_int(lo), _parse_int(hi)
 
 
 def _cmd_ktable(args) -> str:
@@ -204,7 +213,7 @@ def _cmd_zk_index(args) -> str:
 
 
 def _cmd_dual(args) -> str:
-    orders = [int(x) for x in args.torsion.split(",") if x] if args.torsion else []
+    orders = [_parse_int(x) for x in args.torsion.split(",") if x] if args.torsion else []
     group = ktheory.FGAbelianGroup.from_summands(args.rank, orders)
     report = ktheory.dual_group(group)
     if args.format == "json":

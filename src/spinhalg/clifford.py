@@ -371,7 +371,8 @@ class AlgebraDescriptor:
 
 
 # Definite classification, period 8 with R(16) steps:
-#   _CL_POS[n] = Cl(n,0),  _CL_NEG[n] = Cl(0,n)  for 0 <= n <= 7.
+#   _CL_POS[n] = Cl(n,0),  _CL_NEG[n] = Cl(0,n)  for 0 <= n <= 7,
+# the second from the first through Cl(0,n+2) = Cl(n,0) (x) R(2).
 _CL_POS = (
     AlgebraDescriptor("R", 1),
     AlgebraDescriptor("C", 1),
@@ -382,16 +383,8 @@ _CL_POS = (
     AlgebraDescriptor("R", 8),
     AlgebraDescriptor("R", 8, simple=False),
 )
-_CL_NEG = (
-    AlgebraDescriptor("R", 1),
-    AlgebraDescriptor("R", 1, simple=False),
-    AlgebraDescriptor("R", 2),
-    AlgebraDescriptor("C", 2),
-    AlgebraDescriptor("H", 2),
-    AlgebraDescriptor("H", 2, simple=False),
-    AlgebraDescriptor("H", 4),
-    AlgebraDescriptor("C", 8),
-)
+_CL_NEG = (AlgebraDescriptor("R", 1), AlgebraDescriptor("R", 1, simple=False)) \
+    + tuple(desc.tensor_matrices(2) for desc in _CL_POS[:6])
 
 VARIANTS = ("Cl", "CCl", "Clh", "CClh")
 

@@ -57,7 +57,7 @@ class CoefficientRing:
         text = text.strip()
         if text in ("Z", "Q", "Q/Z"):
             return cls(text)
-        if text.startswith("Z") and text[1:].isdigit():
+        if text.startswith("Z") and text[1:].isascii() and text[1:].isdigit():
             return cls("Zk", int(text[1:]))
         raise ValueError(f"cannot parse coefficient ring {text!r}")
 

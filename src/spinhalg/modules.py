@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .clifford import _check_classify_n, classify
+from .clifford import _FIELD_DIM, _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
 
@@ -87,7 +87,7 @@ class AbGroupExpr:
             if chunk in _TOKEN_ORDER:
                 parts.append(chunk)
                 continue
-            m = re.fullmatch(r"Z(\d+)", chunk)
+            m = re.fullmatch(r"Z([0-9]+)", chunk)
             if not m:
                 raise ValueError(f"cannot parse group summand {chunk!r}")
             parts.append(int(m.group(1)))
@@ -331,9 +331,6 @@ def graded_product(a: ModuleLabel, b: ModuleLabel) -> GradedProductResult:
 # bimodule decompositions of Cl^h_n
 # --------------------------------------------------------------------------
 
-_TENSOR_DIVISOR = {"R": 1, "C": 2, "H": 4}
-
-
 @dataclass(frozen=True)
 class BimoduleReport:
     """Cl^h_n written as (left fundamental) (x)_K (right fundamental),
@@ -366,7 +363,7 @@ def bimodule_decomposition(n: int) -> BimoduleReport:
     else:
         field, half = {4: "R", 5: "C", 6: "H"}[residue], False
         factor = fundamental_dimension(n, "H")
-    product = factor * factor // _TENSOR_DIVISOR[field]
+    product = factor * factor // _FIELD_DIM[field]
     if half:
         product //= 2
     return BimoduleReport(n, field, half, factor, algebra_dim,

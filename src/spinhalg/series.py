@@ -250,100 +250,32 @@ def _hp_a_hat_classes(max_j: int, trunc: int) -> list[GradedSeries]:
 
 
 # --------------------------------------------------------------------------
-# closed manifold models
+# closed manifold model
 # --------------------------------------------------------------------------
-
-class P1EulerPoly:
-    """Polynomial in p1 and e over a closed oriented 4-manifold, truncated
-    above cohomological degree 4 (so products of top classes vanish)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # keys: (a, b) = exponents of p1 and e; degree is 4(a+b)
-        clean = {}
-        for key, value in (terms or {}).items():
-            a, b = key
-            if a + b > 1:
-                continue
-            v = Fraction(value)
-            if v:
-                clean[key] = v
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("P1EulerPoly is immutable")
-
-    @classmethod
-    def constant(cls, c: Rational) -> "P1EulerPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def p1(cls) -> "P1EulerPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def euler(cls) -> "P1EulerPoly":
-        return cls({(0, 1): 1})
-
-    def __add__(self, other: "P1EulerPoly") -> "P1EulerPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return P1EulerPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return P1EulerPoly({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for (a1, b1), v1 in self.terms.items():
-            for (a2, b2), v2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return P1EulerPoly(out)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class ClosedManifoldModel:
-    """Integration rule of a closed manifold in one of the two shapes the
-    genus computations need: a quaternionic projective space modelled
-    inside the complex projective variable, or an oriented 4-manifold
-    carrying (signature, euler) data."""
+    """Integration rule of a quaternionic projective space modelled inside
+    the complex projective variable."""
 
     name: str
     dim: int
-    kind: str                 # "hp" | "four"
-    j: int = 0                # hp: projective index
-    signature: int = 0        # four-manifold invariants
-    euler: int = 0
+    j: int = 0                # projective index
 
     @classmethod
     def hp(cls, j: int) -> "ClosedManifoldModel":
         if j < 0:
             raise ValueError("projective index must be nonnegative")
-        return cls(name=f"HP{j}", dim=4 * j, kind="hp", j=j)
-
-    @classmethod
-    def four_manifold(cls, signature: int, euler: int, name: str = "M4") -> "ClosedManifoldModel":
-        return cls(name=name, dim=4, kind="four", signature=signature, euler=euler)
+        return cls(name=f"HP{j}", dim=4 * j, j=j)
 
     def integrate(self, cls_object) -> Fraction:
         """Pair a total cohomology class against the fundamental class:
         only the top-degree part contributes."""
-        if self.kind == "hp":
-            if not isinstance(cls_object, GradedSeries) or cls_object.variable_degree != 2:
-                raise TypeError("projective integration expects a series in the degree-2 variable")
-            if cls_object.trunc < 2 * self.j:
-                raise ValueError("series truncated below the fundamental-class degree")
-            return cls_object.coeff(2 * self.j)
-        if not isinstance(cls_object, P1EulerPoly):
-            raise TypeError("4-manifold integration expects a polynomial in p1 and e")
-        # Hirzebruch signature input convention: integral of p1 is 3*signature
-        p1_part = cls_object.terms.get((1, 0), Fraction(0))
-        e_part = cls_object.terms.get((0, 1), Fraction(0))
-        return p1_part * 3 * self.signature + e_part * self.euler
+        if not isinstance(cls_object, GradedSeries) or cls_object.variable_degree != 2:
+            raise TypeError("projective integration expects a series in the degree-2 variable")
+        if cls_object.trunc < 2 * self.j:
+            raise ValueError("series truncated below the fundamental-class degree")
+        return cls_object.coeff(2 * self.j)
 
 
 # --------------------------------------------------------------------------
@@ -362,20 +294,19 @@ def genus_4manifold(signature: int, euler: int, orientation="+") -> Fraction:
     """Twisted A-hat genus of a closed oriented 4-manifold whose rank-3
     twist is the bundle of (anti-)self-dual two-forms.
 
-    Closed form (signature +- euler)/2; recomputed internally from the
-    class product (2 + p1(twist)/4)(1 - p1/24) with p1(twist) = p1 +- 2e
-    and the signature convention integral(p1) = 3*signature.  Both paths
-    must agree.
+    Closed form (signature +- euler)/2; recomputed from the series engine
+    as the integral of ch(twist) * A-hat, with A-hat_1 = a p1 read off the
+    single-root A-hat series, ch(twist) = ch0 + c p1(twist) read off
+    2 cosh(sqrt(p)/2), p1(twist) = p1 +- 2e and the signature convention
+    integral(p1) = 3*signature.  Both paths must agree.
     """
     o = _orientation_value(orientation)
     closed_form = Fraction(signature + o * euler, 2)
 
-    p1 = P1EulerPoly.p1()
-    e = P1EulerPoly.euler()
-    twist = P1EulerPoly.constant(2) + (p1 + e * (2 * o)) * Fraction(1, 4)
-    a_hat = P1EulerPoly.constant(1) + p1 * Fraction(-1, 24)
-    model = ClosedManifoldModel.four_manifold(signature, euler)
-    integrated = model.integrate(twist * a_hat)
+    a = a_hat_series(2).coeff(2)
+    twist = cosh_sqrt_series(1)
+    ch0, c = twist.constant, twist.coeff(1)
+    integrated = (ch0 * a + c) * 3 * signature + c * 2 * o * euler
     if integrated != closed_form:
         raise ArithmeticError(
             f"genus paths disagree: series {integrated} vs closed form {closed_form}")

@@ -601,21 +601,30 @@ class GradedIdeal:
         sl = self.slice(degree)
         bits = 0
         for mono in p.terms:
-            if monomial_degree(mono) != degree:
+            # the slice indexes every monomial of its degree and no other
+            i = sl.index.get(mono)
+            if i is None:
                 raise ValueError("polynomial not homogeneous of the slice degree")
-            bits ^= 1 << sl.index[mono]
+            bits ^= 1 << i
         return bits
+
+    def _reduced_row(self, p: F2Polynomial, caller: str) -> tuple[_Slice, int]:
+        """The slice of p's degree and p's row reduced by it: the low
+        `width` bits are the canonical coset representative, the high bits
+        the products combined on the way."""
+        if not p.is_homogeneous():
+            raise ValueError(f"{caller} expects a homogeneous polynomial")
+        degree = p.degree()
+        sl = self.slice(degree)
+        mask = (1 << sl.width) - 1
+        return sl, _reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask)
 
     def reduce(self, p: F2Polynomial) -> F2Polynomial:
         """Canonical representative of p modulo the ideal slice."""
         if p.is_zero():
             return p
-        if not p.is_homogeneous():
-            raise ValueError("reduce expects a homogeneous polynomial")
-        degree = p.degree()
-        sl = self.slice(degree)
-        mask = (1 << sl.width) - 1
-        row = _reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask) & mask
+        sl, row = self._reduced_row(p, "reduce")
+        row &= (1 << sl.width) - 1
         monos = []
         while row:
             low = row & -row
@@ -636,13 +645,8 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
     of the ideal; on success the certificate recombines to p exactly."""
     if p.is_zero():
         return MembershipCertificate(True, ())
-    if not p.is_homogeneous():
-        raise ValueError("membership test expects a homogeneous polynomial")
-    degree = p.degree()
-    sl = ideal.slice(degree)
-    mask = (1 << sl.width) - 1
-    row = _reduce_row(ideal.coordinates(p, degree), sl.rows, sl.pivots, mask)
-    if row & mask:
+    sl, row = ideal._reduced_row(p, "membership test")
+    if row & ((1 << sl.width) - 1):
         return MembershipCertificate(False)
     combo = tuple(sl.products[i]
                   for i in range((row >> sl.width).bit_length())
@@ -750,32 +754,24 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
     if model is None:
         model = bso_quotient_model("spinh", max_degree)
     ideal = model.ideal
-    ring = ideal.ring
-
-    # quotient bases: non-pivot monomials of each slice
-    def basis(degree: int) -> list[Monomial]:
-        sl = ideal.slice(degree)
-        return [m for i, m in enumerate(sl.monomials) if i not in sl.pivots]
-
-    bases = {d: basis(d) for d in range(0, max_degree + 2)}
-    ranks: dict[int, int] = {}
-    for d in range(0, max_degree + 1):
+    # Sq1 sends the quotient basis of degree d, the non-pivot monomials of
+    # its slice, to rows of slice d + 1 reduced to coset representatives;
+    # ranks[d] is the rank of those rows out of degree d - 1.
+    slices = [ideal.slice(d) for d in range(0, max_degree + 2)]
+    ranks = [0]
+    for sl, target in zip(slices, slices[1:]):
+        mask = (1 << target.width) - 1
         rows = []
-        pos = {m: i for i, m in enumerate(bases[d + 1])}
-        for mono in bases[d]:
-            bits = 0
-            for image in ideal.reduce(sq(1, ring.from_monomials([mono]))).terms:
-                bits ^= 1 << pos[image]
-            rows.append(bits)
-        # rank of the Sq1 matrix out of degree d
-        ranks[d] = len(_echelon(rows, (1 << len(pos)) - 1)[0])
-
-    out = []
-    for d in range(0, max_degree + 1):
-        kernel = len(bases[d]) - ranks[d]
-        image_in = ranks[d - 1] if d > 0 else 0
-        out.append(kernel - image_in)
-    return out
+        for i, mono in enumerate(sl.monomials):
+            if i not in sl.pivots:
+                bits = 0
+                for image in _sq_monomial(ideal.ring, 1, mono):
+                    bits ^= 1 << target.index[image]
+                rows.append(_reduce_row(bits, target.rows, target.pivots, mask) & mask)
+        ranks.append(len(_echelon(rows, mask)[0]))
+    # kernel out of degree d minus the image into it
+    return [sl.width - len(sl.rows) - ranks[d + 1] - ranks[d]
+            for d, sl in enumerate(slices[:-1])]
 
 
 def sq1_homology_oracle(max_degree: int) -> list[int]:

@@ -386,6 +386,22 @@ class TestKtableCommand:
                            "--range", "x..y")
         assert code == 1
 
+    # int() and str.isdigit also read the digits of other scripts (U+0663
+    # is Arabic-Indic three) and int() reads underscores
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--coeff", "Z\u0663", "--range", "0..1"],
+         "cannot parse coefficient ring 'Z\u0663'"),
+        (["--range", "\u0663..\u0664"], "invalid literal for int() with base 10: '\u0663'"),
+        (["--range", "3..\u0664"], "invalid literal for int() with base 10: '\u0664'"),
+        (["--range", "1_0..1_1"], "invalid literal for int() with base 10: '1_0'"),
+        (["--range", "1_0"], "invalid literal for int() with base 10: '1_0'"),
+    ])
+    def test_non_ascii_integer_is_an_error(self, capsys, fmt, argv, message):
+        code, out, err = run(capsys, "ktable", "--theory", "KO", *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: {message}\n"
+
 
 class TestZkIndexCommand:
     def test_example(self, capsys):
@@ -427,6 +443,14 @@ class TestDualCommand:
         validate(payload, load_schema("dual"))
         assert payload["verified"] is True
         assert payload["candidates"] == 36 and payload["valid"] == 6
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("torsion, bad", [("\u0663,4", "\u0663"), ("1_2", "1_2"),
+                                              ("4,\uff16", "\uff16")])
+    def test_non_ascii_integer_is_an_error(self, capsys, fmt, torsion, bad):
+        code, out, err = run(capsys, "dual", "--torsion", torsion, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: invalid literal for int() with base 10: {bad!r}\n"
 
 
 class TestHarness:

@@ -299,12 +299,19 @@ TABLE1 = {
     (8, "Cl"): "R(16)", (8, "CCl"): "C(16)", (8, "Clh"): "H(16)", (8, "CClh"): "C(32)",
 }
 
+# Cl(0,n), generators squaring to +1
+TABLE_NEG = ["R", "R+R", "R(2)", "C(2)", "H(2)", "H(2)+H(2)", "H(4)", "C(8)", "R(16)"]
+
 
 class TestClassification:
     @pytest.mark.parametrize("key", sorted(TABLE1))
     def test_table_entries(self, key):
         n, variant = key
         assert str(classify(n, variant)) == TABLE1[key]
+
+    @pytest.mark.parametrize("n", range(len(TABLE_NEG)))
+    def test_negative_definite_entries(self, n):
+        assert str(classify_indefinite(0, n)) == TABLE_NEG[n]
 
     def test_periodicity_example(self):
         # Cl_14 = Cl_6 (x) R(16) = R(128)

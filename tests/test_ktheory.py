@@ -42,6 +42,12 @@ class TestCoefficientRing:
         with pytest.raises(ValueError):
             CoefficientRing.parse("R")
 
+    @pytest.mark.parametrize("text", ["Z\u0663", "Z1_2", "Z\u00b2"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        # str.isdigit alone also passes the digits of other scripts
+        with pytest.raises(ValueError, match="cannot parse coefficient ring"):
+            CoefficientRing.parse(text)
+
     def test_qz_normalization(self):
         assert qz(F(7, 3)) == F(1, 3)
         assert qz(F(-1, 4)) == F(3, 4)

@@ -36,6 +36,12 @@ class TestAbGroupExpr:
         with pytest.raises(ValueError):
             AbGroupExpr.parse("Z+weird")
 
+    @pytest.mark.parametrize("text", ["Z\u0663", "Z1_2", "Z\uff13"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        # a regex \d would also match the digits of other scripts
+        with pytest.raises(ValueError, match="cannot parse group summand"):
+            AbGroupExpr.parse(text)
+
     def test_sum(self):
         assert str(AbGroupExpr.parse("Z2") + AbGroupExpr.parse("Z")) == "Z+Z2"
 

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from spinhalg import series
+from spinhalg.cli import main
 from spinhalg.series import (
     ClosedManifoldModel,
     GradedSeries,
-    P1EulerPoly,
     _hp_a_hat_classes,
     _sinh_series,
     a_hat_series,
@@ -112,10 +113,33 @@ class TestGenus4Manifold:
         with pytest.raises(ValueError):
             genus_4manifold(0, 2, "x")
 
-    def test_p1euler_truncation(self):
-        # degree-8 products vanish in the 4-manifold model
-        p1 = P1EulerPoly.p1()
-        assert (p1 * p1).terms == {}
+    # A wrong A-hat or twist series must reach the genus: either mutant
+    # makes the two paths disagree.
+    WRONG_SERIES = {
+        # t -> 2t quadruples A-hat_1: -p1/6 instead of -p1/24
+        "a_hat_series": (lambda trunc=48: a_hat_series(trunc).scale_variable(2),
+                         (1, 3, "+")),
+        # halved: ch(twist) = 1 + p1/8 + ...
+        "cosh_sqrt_series": (lambda trunc=12: cosh_sqrt_series(trunc).scale(F(1, 2)),
+                             (0, 2, "+")),
+    }
+
+    @pytest.mark.parametrize("name", WRONG_SERIES)
+    def test_wrong_series_breaks_the_genus(self, monkeypatch, name):
+        wrong, args = self.WRONG_SERIES[name]
+        monkeypatch.setattr(series, name, wrong)
+        with pytest.raises(ArithmeticError, match="genus paths disagree"):
+            genus_4manifold(*args)
+
+    @pytest.mark.parametrize("name", WRONG_SERIES)
+    def test_wrong_series_is_a_cli_error(self, monkeypatch, capsys, name):
+        wrong, (sig, euler, orientation) = self.WRONG_SERIES[name]
+        monkeypatch.setattr(series, name, wrong)
+        code = main(["genus", "--sig", str(sig), "--euler", str(euler),
+                     "--orientation", orientation])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error[ArithmeticError]: genus paths disagree")
 
 
 class TestHPPairing:
@@ -249,18 +273,11 @@ class TestClosedManifoldModel:
         with pytest.raises(ValueError):
             ClosedManifoldModel.hp(3).integrate(GradedSeries(2, [1, 0]))
 
-    def test_four_manifold_rule(self):
-        model = ClosedManifoldModel.four_manifold(signature=2, euler=5)
-        cls = P1EulerPoly.p1() * F(1, 3) + P1EulerPoly.euler() * 2 \
-            + P1EulerPoly.constant(11)
-        # integral(p1) = 3*sig = 6 -> 6/3 = 2;  e term: 2*5 = 10
-        assert model.integrate(cls) == 12
-
     def test_type_guards(self):
         with pytest.raises(TypeError):
-            ClosedManifoldModel.hp(1).integrate(P1EulerPoly.constant(1))
+            ClosedManifoldModel.hp(1).integrate(GradedSeries(4, [1, 0, 0]))
         with pytest.raises(TypeError):
-            ClosedManifoldModel.four_manifold(0, 0).integrate(GradedSeries(2, [1]))
+            ClosedManifoldModel.hp(1).integrate(F(1))
 
 
 class TestWeakThomFactor:
