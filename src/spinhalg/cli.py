@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand wraps exactly one library operation family and prints
-deterministically: identical flags give byte-identical output, so the
+Every subcommand wraps exactly one library operation family, imports only
+that family (and `clifford`, whose variant names the parser lists), and
+prints deterministically: identical flags give byte-identical output, so the
 outputs are safe to pin in golden files.  Exit codes: 0 success, 2 usage
 error (argparse), 1 domain error from the library, or a reader that closed
 stdout before the output was written (no message, no traceback).
@@ -13,9 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from . import clifford, ktheory, modules, series, steenrod
 
 
 # Largest --max-i/--max-j and --trunc that `hp-table` accepts.  With the
@@ -38,6 +36,7 @@ def _json_dump(payload) -> str:
 # --------------------------------------------------------------------------
 
 def _cmd_classify(args) -> str:
+    from . import clifford
     if args.r is not None or args.s is not None:
         if args.n is not None:
             raise ValueError("give either --n or --r/--s, not both")
@@ -53,6 +52,7 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_dims(args) -> str:
+    from . import modules
     value = modules.fundamental_dimension(args.n, args.field)
     if args.format == "json":
         return _json_dump({"n": args.n, "field": args.field, "dimension": value})
@@ -60,6 +60,7 @@ def _cmd_dims(args) -> str:
 
 
 def _cmd_ngroup(args) -> str:
+    from . import modules
     if args.r is not None or args.s is not None:
         idx = modules.BigradedIndex(args.r or 0, args.s or 0, args.field)
         group = modules.ngroup_bigraded(idx)
@@ -75,9 +76,11 @@ def _cmd_ngroup(args) -> str:
 
 
 def _cmd_genus(args) -> str:
+    from . import series
     if (args.sig - args.euler) % 2:
         # on a closed oriented 4-manifold the signature is the Euler
         # characteristic mod 2, so (sig +- euler)/2 is an integer
+        from . import ktheory
         raise ktheory.IntegralityError(
             f"signature {args.sig} and Euler characteristic {args.euler} "
             "differ mod 2")
@@ -89,6 +92,7 @@ def _cmd_genus(args) -> str:
 
 
 def _cmd_hp_table(args) -> str:
+    from . import series
     for name, value in (("max-i", args.max_i), ("max-j", args.max_j)):
         if value > MAX_HP_INDEX:
             raise ValueError(f"--{name} {value} exceeds the cap {MAX_HP_INDEX}")
@@ -105,6 +109,7 @@ def _cmd_hp_table(args) -> str:
 
 
 def _cmd_steenrod_sq(args) -> str:
+    from . import steenrod
     ring = steenrod.StiefelWhitneyRing()
     poly = steenrod.parse_polynomial(ring, args.poly)
     result = steenrod.sq(args.k, poly)
@@ -114,12 +119,14 @@ def _cmd_steenrod_sq(args) -> str:
 
 
 def _check_max_degree(degree: int) -> None:
+    from . import steenrod
     if degree > steenrod.MAX_STEENROD_DEGREE:
         raise ValueError(
             f"max degree {degree} exceeds the cap {steenrod.MAX_STEENROD_DEGREE}")
 
 
 def _cmd_steenrod_wu(args) -> str:
+    from . import steenrod
     _check_max_degree(args.max_degree)
     ring = steenrod.StiefelWhitneyRing()
     nu = steenrod.wu_classes(ring, args.max_degree)
@@ -130,6 +137,7 @@ def _cmd_steenrod_wu(args) -> str:
 
 
 def _cmd_steenrod_verify(args) -> str:
+    from . import steenrod
     _check_max_degree(args.max_degree)
     model = steenrod.bso_quotient_model("spinh", args.max_degree)
     quotient = model.poincare_series()
@@ -172,6 +180,26 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _int_option(text: str) -> int:
+    """argparse type for the integer options: the grammar of _parse_int,
+    with the usage error argparse gives for type=int."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _parse_fraction(text: str):
+    """Fraction() restricted to an optional sign, ASCII digits and an
+    optional /denominator: Fraction() alone also reads the digits of other
+    scripts, underscores, decimals and exponents."""
+    from fractions import Fraction
+    parts = text.strip().lstrip("+-").split("/")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     if not hi:
@@ -181,6 +209,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_ktable(args) -> str:
+    from . import ktheory
     ring = ktheory.CoefficientRing.parse(args.coeff)
     lo, hi = _parse_range(args.range)
     if hi < lo:
@@ -200,8 +229,9 @@ def _cmd_ktable(args) -> str:
 
 
 def _cmd_zk_index(args) -> str:
-    data = ktheory.ZkIndexInput(args.n, args.k, Fraction(args.integral),
-                                Fraction(args.eta))
+    from . import ktheory
+    data = ktheory.ZkIndexInput(args.n, args.k, _parse_fraction(args.integral),
+                                _parse_fraction(args.eta))
     residue = ktheory.zk_index(data)
     if args.format == "json":
         return _json_dump({"n": args.n, "k": args.k,
@@ -213,6 +243,7 @@ def _cmd_zk_index(args) -> str:
 
 
 def _cmd_dual(args) -> str:
+    from . import ktheory
     orders = [_parse_int(x) for x in args.torsion.split(",") if x] if args.torsion else []
     group = ktheory.FGAbelianGroup.from_summands(args.rank, orders)
     report = ktheory.dual_group(group)
@@ -235,48 +266,49 @@ def _add_format(parser, *, tsv=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import clifford
     parser = argparse.ArgumentParser(
         prog="spinhalg",
         description="Exact Clifford/characteristic-class/Steenrod/K-theory computations")
-    parser.add_argument("--trunc", type=int, default=None,
+    parser.add_argument("--trunc", type=_int_option, default=None,
                         help="override series truncation where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="matrix normal form of a Clifford-type algebra")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_option)
     p.add_argument("--variant", choices=list(clifford.VARIANTS), default="Cl")
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
+    p.add_argument("--r", type=_int_option)
+    p.add_argument("--s", type=_int_option)
     p.add_argument("--quaternionic", action="store_true")
     _add_format(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("dims", help="fundamental graded module dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--field", choices=["R", "C", "H"], required=True)
     _add_format(p)
     p.set_defaults(handler=_cmd_dims)
 
     p = sub.add_parser("ngroup", help="graded module Grothendieck group")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_option)
     p.add_argument("--field", choices=["R", "C", "H"], required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
+    p.add_argument("--r", type=_int_option)
+    p.add_argument("--s", type=_int_option)
     p.add_argument("--h", action="store_true",
                    help="complex modules over the quaternionified algebra")
     _add_format(p)
     p.set_defaults(handler=_cmd_ngroup)
 
     p = sub.add_parser("genus", help="twisted genus of an oriented 4-manifold")
-    p.add_argument("--sig", type=int, required=True)
-    p.add_argument("--euler", type=int, required=True)
+    p.add_argument("--sig", type=_int_option, required=True)
+    p.add_argument("--euler", type=_int_option, required=True)
     p.add_argument("--orientation", choices=["+", "-"], required=True)
     _add_format(p)
     p.set_defaults(handler=_cmd_genus)
 
     p = sub.add_parser("hp-table", help="projective-space pairing matrix")
-    p.add_argument("--max-i", type=int, required=True, dest="max_i")
-    p.add_argument("--max-j", type=int, required=True, dest="max_j")
+    p.add_argument("--max-i", type=_int_option, required=True, dest="max_i")
+    p.add_argument("--max-j", type=_int_option, required=True, dest="max_j")
     p.add_argument("--method", choices=["binomial", "residue", "chebyshev"],
                    default="binomial")
     _add_format(p, tsv=True)
@@ -286,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="subcommand", required=True)
 
     q = ssub.add_parser("sq", help="apply a Steenrod square to a polynomial")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     q.add_argument("--poly", type=str, required=True)
     _add_format(q)
     q.set_defaults(handler=_cmd_steenrod_sq)
 
     q = ssub.add_parser("wu", help="Wu classes of the oriented universal bundle")
-    q.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+    q.add_argument("--max-degree", type=_int_option, required=True, dest="max_degree")
     _add_format(q)
     q.set_defaults(handler=_cmd_steenrod_wu)
 
     q = ssub.add_parser("verify-bspinh", help="quotient-presentation verification")
-    q.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+    q.add_argument("--max-degree", type=_int_option, required=True, dest="max_degree")
     _add_format(q)
     q.set_defaults(handler=_cmd_steenrod_verify)
 
@@ -310,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ktable)
 
     p = sub.add_parser("zk-index", help="mod-k index arithmetic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--integral", type=str, required=True,
                    help="exact rational, e.g. 6 or 9/2 (use --integral=-3/2 for negatives)")
     p.add_argument("--eta", type=str, default="0",
@@ -320,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_zk_index)
 
     p = sub.add_parser("dual", help="double dual of a finitely generated abelian group")
-    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--rank", type=_int_option, default=0)
     p.add_argument("--torsion", type=str, default="",
                    help="comma-separated cyclic orders, e.g. 4,6")
     _add_format(p)

@@ -729,15 +729,16 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
 
     Relation generators whose degree exceeds max_degree + 1 cannot meet
     the window and are omitted."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     ring = StiefelWhitneyRing()
     top = max_degree + 1  # slices up to here are used by Sq1-homology
     nu = wu_classes(ring, top)
     gens: list[F2Polynomial] = []
-    if kind == "spin":
+    if kind == "spin" and 2 <= top:
         gens.append(nu[2])
-    if kind in ("spin", "spinc"):
-        if 3 <= top:
-            gens.append(sq(1, nu[2]))
+    if kind in ("spin", "spinc") and 3 <= top:
+        gens.append(sq(1, nu[2]))
     power = 4
     while power + 1 <= top:
         gens.append(sq(1, nu[power]))

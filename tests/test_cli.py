@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,13 @@ class TestSteenrodCommands:
         assert (code, out) == (1, "")
         assert err == "error[ValueError]: max degree 41 exceeds the cap 40\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["wu", "verify-bspinh"])
+    def test_negative_max_degree_is_an_error(self, capsys, command, fmt):
+        code, out, err = run(capsys, "steenrod", command, "--max-degree", "-1",
+                             "--format", fmt)
+        assert (code, out, err) == (1, "", "error[ValueError]: max_degree must be nonnegative\n")
+
     @pytest.mark.parametrize("k", ["41", "200"])
     def test_wu_factor_above_the_cap_is_an_error(self, capsys, k):
         code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", f"w2+v{k}")
@@ -426,6 +434,36 @@ class TestZkIndexCommand:
                            "--integral", "7")
         assert code == 1 and "error[IntegralityError]" in err
 
+    @pytest.mark.parametrize("value", ["6", "+6", "-6", " 6 ", "12/2", "-12/2", "006/001"])
+    def test_ascii_rationals(self, capsys, value):
+        code, out, err = run(capsys, "zk-index", "--n", "8", "--k", "3",
+                             f"--integral={value}", f"--eta={value}")
+        assert (code, out, err) == (0, "0 (mod 3)\n", "")
+
+    # Fraction() also reads other scripts' digits (U+0666 is Arabic-Indic
+    # six, U+FF16 fullwidth six), underscores, decimals and exponents
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("flag", ["--integral", "--eta"])
+    @pytest.mark.parametrize("value", ["\u0666", "\uff16", "6_0", "12/\u0662", "6.0", "6e0"])
+    def test_non_ascii_rational_is_an_error(self, capsys, fmt, flag, value):
+        argv = {"--integral": "6", "--eta": "0", flag: value}
+        code, out, err = run(capsys, "zk-index", "--n", "8", "--k", "3",
+                             *(f"{k}={v}" for k, v in argv.items()), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error[ValueError]: Invalid literal for Fraction: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["x", "", "1/", "/2", "--6", "6/-2", "1/2/3", "6 /2"])
+    def test_ascii_rejects_keep_the_fraction_message(self, capsys, value):
+        with pytest.raises(ValueError) as expected:
+            Fraction(value)
+        code, out, err = run(capsys, "zk-index", "--n", "8", "--k", "3",
+                             f"--integral={value}")
+        assert (code, out, err) == (1, "", f"error[ValueError]: {expected.value}\n")
+
+    def test_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "zk-index", "--n", "8", "--k", "3", "--integral", "1/0")
+        assert (code, out, err) == (1, "", "error[ZeroDivisionError]: Fraction(1, 0)\n")
+
 
 class TestDualCommand:
     def test_cyclic(self, capsys):
@@ -451,6 +489,45 @@ class TestDualCommand:
         code, out, err = run(capsys, "dual", "--torsion", torsion, "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"error[ValueError]: invalid literal for int() with base 10: {bad!r}\n"
+
+
+class TestIntegerOptions:
+    # argparse's type=int also reads other scripts' digits (U+0663 is
+    # Arabic-Indic three, U+FF14 fullwidth four) and underscores
+    @pytest.mark.parametrize("argv, option, value", [
+        (["classify", "--n", "\u0663"], "--n", "\u0663"),
+        (["classify", "--r", "1_0"], "--r", "1_0"),
+        (["classify", "--s", "\uff14"], "--s", "\uff14"),
+        (["dims", "--n", "\u0663", "--field", "R"], "--n", "\u0663"),
+        (["ngroup", "--r", "1", "--s", "\u0663", "--field", "R"], "--s", "\u0663"),
+        (["genus", "--sig=\u0661", "--euler", "1", "--orientation", "+"], "--sig", "\u0661"),
+        (["genus", "--sig", "1", "--euler", "1_1", "--orientation", "+"], "--euler", "1_1"),
+        (["hp-table", "--max-i", "\u0663", "--max-j", "1"], "--max-i", "\u0663"),
+        (["hp-table", "--max-i", "1", "--max-j", "\uff14"], "--max-j", "\uff14"),
+        (["--trunc", "1_0", "hp-table", "--max-i", "1", "--max-j", "1"], "--trunc", "1_0"),
+        (["steenrod", "sq", "--k", "\u0661", "--poly", "w2"], "--k", "\u0661"),
+        (["steenrod", "wu", "--max-degree", "\u0663"], "--max-degree", "\u0663"),
+        (["steenrod", "verify-bspinh", "--max-degree", "1_0"], "--max-degree", "1_0"),
+        (["zk-index", "--n", "\u0668", "--k", "3", "--integral", "6"], "--n", "\u0668"),
+        (["zk-index", "--n", "8", "--k", "\u0663", "--integral", "6"], "--k", "\u0663"),
+        (["dual", "--rank", "\u0661"], "--rank", "\u0661"),
+    ])
+    def test_non_ascii_integer_is_a_usage_error(self, capsys, argv, option, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: spinhalg")
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["x", "", "3.0", "0x3", "--3"])
+    def test_ascii_usage_errors_keep_argparse_wording(self, capsys, value):
+        code, out, err = run(capsys, "dims", f"--n={value}", "--field", "R")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --n: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["3", "+3", " 3 ", "003"])
+    def test_ascii_integers(self, capsys, value):
+        code, out, err = run(capsys, "dims", f"--n={value}", "--field", "H")
+        assert (code, out, err) == (0, "8\n", "")
 
 
 class TestHarness:

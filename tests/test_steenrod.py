@@ -523,6 +523,23 @@ class TestQuotientSeries:
     def test_free_series_with_repeats(self):
         assert free_subalgebra_series([2, 2], 4) == [1, 0, 2, 0, 3]
 
+    @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
+    @pytest.mark.parametrize("max_degree", [0, 1])
+    def test_smallest_windows(self, kind, max_degree):
+        # nothing of positive degree below 2 survives; v2 = w2 meets the
+        # window of spin once max_degree + 1 reaches its degree
+        model = bso_quotient_model(kind, max_degree)
+        expected = [1, 0][:max_degree + 1]
+        assert model.poincare_series() == model.free_series() == expected
+        assert sq1_homology_series(max_degree, model) == expected
+        spin_v2 = kind == "spin" and max_degree == 1
+        assert [str(g) for g in model.ideal.generators] == (["w2"] if spin_v2 else [])
+
+    @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
+    def test_negative_degree_is_an_error(self, kind):
+        with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
+            bso_quotient_model(kind, -1)
+
 
 class TestSq1Homology:
     def test_matches_polynomial_oracle(self):
