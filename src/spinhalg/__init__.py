@@ -9,7 +9,7 @@ family module, is imported on first use (PEP 562), so a CLI subcommand
 pays only for the family it runs.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 # public name -> submodule that defines it
 _SUBMODULE = {
@@ -78,7 +78,9 @@ _SUBMODULE = {
     for name in names
 }
 
-__all__ = list(_SUBMODULE)
+# the family modules too: the eager package bound them as a side effect,
+# so `from spinhalg import *` gave them
+__all__ = [*dict.fromkeys(_SUBMODULE.values()), *_SUBMODULE]
 
 __version__ = "0.1.0"
 
@@ -86,9 +88,13 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name in _SUBMODULE.values():
         # `spinhalg.steenrod` without `import spinhalg.steenrod` first
-        return importlib.import_module(f".{name}", __name__)
+        return _import_module(f".{name}", __name__)
     if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    value = getattr(_import_module(f".{_SUBMODULE[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -118,16 +118,14 @@ def _cmd_steenrod_sq(args) -> str:
     return str(result)
 
 
-def _check_max_degree(degree: int) -> None:
-    from . import steenrod
-    if degree > steenrod.MAX_STEENROD_DEGREE:
-        raise ValueError(
-            f"max degree {degree} exceeds the cap {steenrod.MAX_STEENROD_DEGREE}")
+def _check_max_degree(degree: int, cap: int) -> None:
+    if degree > cap:
+        raise ValueError(f"max degree {degree} exceeds the cap {cap}")
 
 
 def _cmd_steenrod_wu(args) -> str:
     from . import steenrod
-    _check_max_degree(args.max_degree)
+    _check_max_degree(args.max_degree, steenrod.MAX_STEENROD_DEGREE)
     ring = steenrod.StiefelWhitneyRing()
     nu = steenrod.wu_classes(ring, args.max_degree)
     if args.format == "json":
@@ -138,7 +136,7 @@ def _cmd_steenrod_wu(args) -> str:
 
 def _cmd_steenrod_verify(args) -> str:
     from . import steenrod
-    _check_max_degree(args.max_degree)
+    _check_max_degree(args.max_degree, steenrod.MAX_STEENROD_DEGREE)
     model = steenrod.bso_quotient_model("spinh", args.max_degree)
     quotient = model.poincare_series()
     free = model.free_series()
@@ -171,11 +169,18 @@ def _cmd_steenrod_verify(args) -> str:
     return "\n".join(lines)
 
 
+def _ascii_digits(text: str, sep: str = "") -> bool:
+    """Whether text is an optional sign and ASCII digits (runs of them
+    joined by sep, if given): int() and Fraction() alone also read the
+    digits of other scripts and underscores."""
+    body = text.strip().lstrip("+-")
+    return all(part.isascii() and part.isdigit()
+               for part in (body.split(sep) if sep else [body]))
+
+
 def _parse_int(text: str) -> int:
-    """int() restricted to an optional sign and ASCII digits: int() alone
-    also reads the digits of other scripts and underscores."""
-    digits = text.strip().lstrip("+-")
-    if not (digits.isascii() and digits.isdigit()):
+    """int() restricted to the grammar of _ascii_digits."""
+    if not _ascii_digits(text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 
@@ -191,11 +196,10 @@ def _int_option(text: str) -> int:
 
 def _parse_fraction(text: str):
     """Fraction() restricted to an optional sign, ASCII digits and an
-    optional /denominator: Fraction() alone also reads the digits of other
-    scripts, underscores, decimals and exponents."""
+    optional /denominator: Fraction() alone also reads decimals and
+    exponents, and since Python 3.12 spaces around the slash."""
     from fractions import Fraction
-    parts = text.strip().lstrip("+-").split("/")
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    if not _ascii_digits(text, "/"):
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     return Fraction(text)
 

@@ -44,15 +44,28 @@ def test_first_use_loads_only_its_family():
     assert loaded == ["spinhalg", "spinhalg.clifford", "spinhalg.ktheory", "spinhalg.modules"]
 
 
+FAMILIES = ["clifford", "modules", "series", "steenrod", "ktheory"]
+
+
 def test_every_public_name_is_its_submodule_attribute():
-    assert len(set(spinhalg.__all__)) == len(spinhalg.__all__) == 49
-    for name in spinhalg.__all__:
+    assert len(set(spinhalg.__all__)) == len(spinhalg.__all__) == 54
+    assert spinhalg.__all__[:5] == FAMILIES
+    for family in FAMILIES:
+        assert getattr(spinhalg, family) is sys.modules[f"spinhalg.{family}"]
+    for name in spinhalg.__all__[5:]:
         value = getattr(spinhalg, name)
         assert value.__module__.startswith("spinhalg.")
         assert getattr(sys.modules[value.__module__], name) is value
     namespace = {}
     exec("from spinhalg import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(spinhalg.__all__)
+
+
+def test_dir_lists_the_public_names_before_first_use():
+    proc, loaded = loaded_modules("import spinhalg\nprint(dir(spinhalg))")
+    assert loaded == ["spinhalg"]
+    public = [name for name in eval(proc.stdout) if not name.startswith("_")]
+    assert public == sorted(spinhalg.__all__)
 
 
 def test_unknown_name_is_an_attribute_error():
