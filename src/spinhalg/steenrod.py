@@ -30,8 +30,10 @@ UNIT: Monomial = ()
 
 # Largest Wu class degree that the CLI computes: `steenrod wu` and
 # `verify-bspinh --max-degree`, and a factor v<k> in a parsed polynomial.
-# The cost grows steeply with the degree: on one core of an Intel Xeon,
-# `wu_classes` takes about 1 s at 40, 6.5 s at 48 and 50 s at 56.
+# The cost grows steeply with the degree: on one core of an Intel Xeon
+# (Python 3.11), `wu_classes` takes about 0.7 s / 69 MiB at 40, 1.7-2.0 s
+# at 44 and 5 s / 406 MiB at 48, and the CLI's `verify-bspinh
+# --max-degree 40` 0.8-2.0 s / 60 MiB (the host's speed varied 2x).
 MAX_STEENROD_DEGREE = 40
 
 
@@ -239,9 +241,9 @@ class F2Polynomial:
 # entries; above it a layout holds only the generators its call can reach,
 # so that codes grow with k and not with the generator index.  The base
 # covers the repeated calls behind the CLI's Wu-class work (wu_classes up
-# to degree MAX_STEENROD_DEGREE + 1, Sq^1 on classes of degree up to
-# MAX_STEENROD_DEGREE); a larger base lengthens every code and raises the
-# peak memory of large calls.
+# to degree MAX_STEENROD_DEGREE, Sq^1 of the classes the verify-bspinh
+# relations read, up to v_32); a larger base lengthens every code and
+# raises the peak memory of large calls.
 BASE_INDEX = MAX_STEENROD_DEGREE + 1
 
 
@@ -411,17 +413,22 @@ def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
     """Wu classes v_0..v_max solving Sq(v) = w degree by degree.
 
     The triangular system v_k = w_k + sum_{i>=1} Sq^i(v_{k-i}) determines
-    each class uniquely; orientation forces v_1 = 0."""
+    each class uniquely.  With w_1 = 0 every odd class vanishes (on a
+    closed oriented manifold Sq^{2i+1} = Sq^1 Sq^{2i} is zero into the top
+    degree), so only even k are solved, and only the even i meet a nonzero
+    v_{k-i}; the tests check the odd equations on the result."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     # v_k has degree k: no index passes k and no exponent k // 2
     layout = _pick_layout(ring, [(0, 2, max_degree)], max_degree // 2)
     nu: list[set[int]] = [{0}]
     for k in range(1, max_degree + 1):
-        terms = set() if k == 1 else {layout.gen_code(k, 0)}
-        for i in range(1, k):
-            for code in nu[k - i]:
-                terms ^= _sq_code(layout, i, code, k - i)
+        terms = set()
+        if k % 2 == 0:
+            terms.add(layout.gen_code(k, 0))
+            for i in range(2, k, 2):
+                for code in nu[k - i]:
+                    terms ^= _sq_code(layout, i, code, k - i)
         nu.append(terms)
     return [F2Polynomial(ring, frozenset(map(layout.decode, terms))) for terms in nu]
 
@@ -733,20 +740,39 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
         raise ValueError("max_degree must be nonnegative")
     ring = StiefelWhitneyRing()
     top = max_degree + 1  # slices up to here are used by Sq1-homology
-    nu = wu_classes(ring, top)
+    powers = [4]
+    while 2 * powers[-1] + 1 <= top:
+        powers.append(2 * powers[-1])
+    # v_k depends only on the lower classes, so the solve stops at the
+    # highest class a relation reads
+    nu = wu_classes(ring, powers[-1])
     gens: list[F2Polynomial] = []
     if kind == "spin" and 2 <= top:
         gens.append(nu[2])
     if kind in ("spin", "spinc") and 3 <= top:
         gens.append(sq(1, nu[2]))
-    power = 4
-    while power + 1 <= top:
-        gens.append(sq(1, nu[power]))
-        power *= 2
+    gens += [sq(1, nu[power]) for power in powers if power + 1 <= top]
     ideal = GradedIdeal(ring, gens, degree_cap=top)
     allowed = tuple(d for d in range(2, max_degree + 1)
                     if d not in _excluded_degrees(kind, max_degree))
     return QuotientModel(kind, max_degree, ideal, allowed)
+
+
+def _sq1_monomial(ring: StiefelWhitneyRing, mono: Monomial) -> list[Monomial]:
+    """The terms of Sq^1 of one monomial.  Sq^1 is a derivation, and Wu's
+    formula with w_1 = 0 gives Sq^1 w_2j = w_{2j+1}, Sq^1 w_{2j+1} = 0: each
+    odd power of an even-index generator trades one w_2j for w_{2j+1} in
+    its own family, which the primed family holds only up to primed_max.
+    Distinct generators give distinct terms, so nothing cancels."""
+    out = []
+    for (index, family), e in mono:
+        if index % 2 or e % 2 == 0 or (family and index + 1 > ring.primed_max):
+            continue
+        image = dict(mono)
+        image[(index, family)] -= 1
+        image[(index + 1, family)] = image.get((index + 1, family), 0) + 1
+        out.append(tuple(sorted((g, f) for g, f in image.items() if f)))
+    return out
 
 
 def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> list[int]:
@@ -766,7 +792,7 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
         for i, mono in enumerate(sl.monomials):
             if i not in sl.pivots:
                 bits = 0
-                for image in _sq_monomial(ideal.ring, 1, mono):
+                for image in _sq1_monomial(ideal.ring, mono):
                     bits ^= 1 << target.index[image]
                 rows.append(_reduce_row(bits, target.rows, target.pivots, mask) & mask)
         ranks.append(len(_echelon(rows, mask)[0]))

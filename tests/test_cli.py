@@ -265,6 +265,7 @@ class TestSteenrodCommands:
         (("verify-bspinh", "--max-degree", "16", "--format", "json"), "verify_bspinh_16.json"),
         (("verify-bspinh", "--max-degree", "24", "--format", "json"), "verify_bspinh_24.json"),
         (("wu", "--max-degree", "20"), "wu_20.txt"),
+        (("verify-bspinh", "--max-degree", "32", "--format", "json"), "verify_bspinh_32.json"),
     ])
     def test_golden_output(self, capsys, argv, golden):
         code, out, _ = run(capsys, "steenrod", *argv)
@@ -277,7 +278,7 @@ class TestSteenrodCommands:
         assert proc.stdout.splitlines()[-1].startswith("v40 = ")
 
     def test_verify_bspinh_at_the_degree_cap(self):
-        # runs wu_classes up to degree 41 internally
+        # Sq1 homology reads the ideal slices up to degree 41
         proc = run_subprocess("steenrod", "verify-bspinh", "--max-degree", "40",
                               "--format", "json", timeout=300)
         assert (proc.returncode, proc.stderr) == (0, "")

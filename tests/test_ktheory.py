@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from spinhalg.modules import AbGroupExpr, ngroup
 from spinhalg.ktheory import (
@@ -241,6 +243,28 @@ class TestFGAbelianGroup:
 
     def test_str(self):
         assert str(FGAbelianGroup(1, (6,))) == "Z+Z6"
+
+    def test_invariant_factors_by_smith_normal_form(self):
+        # every list of cyclic orders >= 2 whose product is at most 64,
+        # against the non-unit diagonal of sympy's Smith normal form of the
+        # diagonal relation matrix
+        def torsion_lists(bound, least=2):
+            yield ()
+            for m in range(least, bound + 1):
+                for tail in torsion_lists(bound // m, m):
+                    yield (m,) + tail
+        checked = 0
+        for orders in torsion_lists(64):
+            if orders:
+                snf = smith_normal_form(sympy.diag(*orders), domain=sympy.ZZ)
+                factors = tuple(abs(int(snf[i, i])) for i in range(len(orders)))
+            else:
+                factors = ()
+            expected = tuple(f for f in factors if f != 1)
+            for listed in (orders, orders[::-1]):
+                assert FGAbelianGroup.from_summands(0, listed).torsion == expected, listed
+            checked += 1
+        assert checked == 198  # unordered factorizations of 1..64
 
 
 class TestDualGroup:

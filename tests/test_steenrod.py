@@ -34,6 +34,7 @@ from spinhalg.steenrod import (
     total_sq,
     wu_classes,
 )
+from spinhalg.steenrod import _sq1_monomial
 
 RING = StiefelWhitneyRing()
 
@@ -342,11 +343,16 @@ class TestWuClasses:
         for d in range(0, top + 1):
             assert total.graded_part(d) == RING.w(d).graded_part(d), f"degree {d}"
 
-    def test_odd_classes_vanish(self):
-        # every odd Wu class is 0 through degree 31, as on a closed oriented
-        # manifold, where Sq^{2i+1} = Sq^1 Sq^{2i} and v1 = w1 = 0
-        nu = wu_classes(RING, 31)
-        assert [k for k in range(1, 32, 2) if not nu[k].is_zero()] == []
+    def test_odd_equations_hold(self):
+        # the solve skips odd k, so each odd equation of Sq(v) = w is checked
+        # on the returned classes through the public sq, degree 31 included
+        top = 31
+        nu = wu_classes(RING, top)
+        for k in range(1, top + 1, 2):
+            total = RING.w(k)
+            for i in range(1, k):
+                total = total + sq(i, nu[k - i])
+            assert (str(total), str(nu[k])) == ("0", "0"), f"degree {k}"
 
     def test_uniqueness_of_triangular_solve(self):
         # re-solving with perturbed start must break the identity
@@ -539,6 +545,35 @@ class TestQuotientSeries:
     def test_negative_degree_is_an_error(self, kind):
         with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
             bso_quotient_model(kind, -1)
+
+
+class TestSq1Formula:
+    @pytest.mark.parametrize("ring", [RING, StiefelWhitneyRing(two_family=True, primed_max=4)],
+                             ids=["one-family", "two-family"])
+    def test_images_match_the_engine(self, ring):
+        # every basis monomial through degree 24; with primed_max = 4,
+        # Sq1 w2' = w3' and Sq1 w4' = w5' = 0
+        for d in range(25):
+            for mono in ring.monomial_basis(d):
+                expected = sq(1, ring.from_monomials([mono])).terms
+                assert sorted(_sq1_monomial(ring, mono)) == sorted(expected), mono
+
+
+class TestQuotientGenerators:
+    @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
+    def test_match_the_solve_through_the_window(self, kind, max_degree):
+        # the model solves only up to the highest class a relation reads;
+        # its relations equal those read off the solve through max_degree + 1
+        top = max_degree + 1
+        nu = wu_classes(RING, top)
+        expected = []
+        if kind == "spin" and top >= 2:
+            expected.append(nu[2])
+        if kind in ("spin", "spinc") and top >= 3:
+            expected.append(sq(1, nu[2]))
+        expected += [sq(1, nu[p]) for p in (4, 8, 16, 32) if p + 1 <= top]
+        assert bso_quotient_model(kind, max_degree).ideal.generators == expected
 
 
 class TestSq1Homology:
