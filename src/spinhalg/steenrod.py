@@ -240,9 +240,9 @@ class F2Polynomial:
 # below it share one layout per ring and width, and with it their cache
 # entries; above it a layout holds only the generators its call can reach,
 # so that codes grow with k and not with the generator index.  The base
-# covers the repeated calls behind the CLI's Wu-class work (wu_classes up
-# to degree MAX_STEENROD_DEGREE, Sq^1 of the classes the verify-bspinh
-# relations read, up to v_32); a larger base lengthens every code and
+# serves wu_classes (up to degree MAX_STEENROD_DEGREE) and sq; the
+# verify-bspinh relations and Sq1 homology take Sq^1 by Wu's formula and
+# never enter the Cartan engine.  A larger base lengthens every code and
 # raises the peak memory of large calls.
 BASE_INDEX = MAX_STEENROD_DEGREE + 1
 
@@ -512,20 +512,17 @@ def apply_operation(ops: Iterable[SteenrodMonomial], p: F2Polynomial) -> F2Polyn
 def _reduce_row(row: int, rows: list[int], pivots: dict[int, int], mask: int) -> int:
     # Eliminate every pivot column present, not just the leading one, so
     # the masked part ends up a canonical coset representative.  Stored
-    # rows have their pivot as leading masked bit, so each XOR strictly
-    # decreases the masked part.
-    while True:
-        bits = row & mask
-        hit = None
-        while bits:
-            b = bits.bit_length() - 1
-            hit = pivots.get(b)
-            if hit is not None:
-                break
-            bits &= (1 << b) - 1
-        if hit is None:
-            return row
-        row ^= rows[hit]
+    # rows have their pivot as leading masked bit, so the XOR at bit b
+    # changes only lower bits, and one top-down pass over the masked bits,
+    # re-read below b after each step, clears every pivot column.
+    bits = row & mask
+    while bits:
+        b = bits.bit_length() - 1
+        hit = pivots.get(b)
+        if hit is not None:
+            row ^= rows[hit]
+        bits = row & mask & ((1 << b) - 1)
+    return row
 
 
 def _echelon(rows: Iterable[int], mask: int) -> tuple[list[int], dict[int, int]]:
@@ -695,21 +692,6 @@ def free_subalgebra_series(allowed_degrees: Iterable[int], max_degree: int) -> l
     return series
 
 
-def _excluded_degrees(kind: str, max_degree: int) -> set[int]:
-    powers = []
-    p = 4
-    while p + 1 <= max_degree:
-        powers.append(p + 1)
-        p *= 2
-    if kind == "spinh":
-        return set(powers)                      # 5, 9, 17, ...
-    if kind == "spinc":
-        return {3} | set(powers)                # 3, 5, 9, 17, ...
-    if kind == "spin":
-        return {2, 3} | set(powers)             # plus the degree-2 generator
-    raise ValueError("kind must be spinh, spin or spinc")
-
-
 @dataclass(frozen=True)
 class QuotientModel:
     """A quotient of Z2[w2, w3, ...] by Sq1-of-Wu-class relations, paired
@@ -736,25 +718,32 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
 
     Relation generators whose degree exceeds max_degree + 1 cannot meet
     the window and are omitted."""
+    if kind not in ("spinh", "spinc", "spin"):
+        raise ValueError("kind must be spinh, spin or spinc")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     ring = StiefelWhitneyRing()
     top = max_degree + 1  # slices up to here are used by Sq1-homology
-    powers = [4]
-    while 2 * powers[-1] + 1 <= top:
-        powers.append(2 * powers[-1])
+    # One table of (degree a relation kills, Wu class it reads): v_2 = w2
+    # itself kills 2, and Sq1 v_p, whose one linear term is w_{p+1}, kills
+    # p + 1.  The ideal and the predicted generator degrees both come from
+    # it, the degrees from the indices and not from the polynomials, so a
+    # relation that comes out wrong shows in the series comparison.
+    relations = [(2, 2)] if kind == "spin" else []
+    if kind != "spinh":
+        relations.append((3, 2))
+    p = 4
+    while p + 1 <= top:
+        relations.append((p + 1, p))
+        p *= 2
+    relations = [(d, p) for d, p in relations if d <= top]
     # v_k depends only on the lower classes, so the solve stops at the
     # highest class a relation reads
-    nu = wu_classes(ring, powers[-1])
-    gens: list[F2Polynomial] = []
-    if kind == "spin" and 2 <= top:
-        gens.append(nu[2])
-    if kind in ("spin", "spinc") and 3 <= top:
-        gens.append(sq(1, nu[2]))
-    gens += [sq(1, nu[power]) for power in powers if power + 1 <= top]
-    ideal = GradedIdeal(ring, gens, degree_cap=top)
-    allowed = tuple(d for d in range(2, max_degree + 1)
-                    if d not in _excluded_degrees(kind, max_degree))
+    nu = wu_classes(ring, max((p for _, p in relations), default=0))
+    ideal = GradedIdeal(ring, [nu[p] if d == p else _sq1(nu[p]) for d, p in relations],
+                        degree_cap=top)
+    killed = {d for d, _ in relations}
+    allowed = tuple(d for d in range(2, max_degree + 1) if d not in killed)
     return QuotientModel(kind, max_degree, ideal, allowed)
 
 
@@ -773,6 +762,11 @@ def _sq1_monomial(ring: StiefelWhitneyRing, mono: Monomial) -> list[Monomial]:
         image[(index + 1, family)] = image.get((index + 1, family), 0) + 1
         out.append(tuple(sorted((g, f) for g, f in image.items() if f)))
     return out
+
+
+def _sq1(p: F2Polynomial) -> F2Polynomial:
+    return p.ring.from_monomials(
+        image for mono in p.terms for image in _sq1_monomial(p.ring, mono))
 
 
 def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> list[int]:
@@ -828,14 +822,14 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def parse_polynomial(ring: StiefelWhitneyRing, text: str,
-                     wu_cache: list[F2Polynomial] | None = None) -> F2Polynomial:
+def parse_polynomial(ring: StiefelWhitneyRing, text: str) -> F2Polynomial:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
     if text == "0":
         return ring.zero()
     total = ring.zero()
+    nu: list[F2Polynomial] = []  # one solve serves every v<k> of the text
     for term in text.split("+"):
         if not term:
             raise ValueError("empty term in polynomial")
@@ -856,9 +850,9 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str,
                 if k > MAX_STEENROD_DEGREE:
                     raise ValueError(f"Wu class v{k} has degree {k}, "
                                      f"over the cap {MAX_STEENROD_DEGREE}")
-                if wu_cache is None or len(wu_cache) <= k:
-                    wu_cache = wu_classes(ring, k)
-                poly = wu_cache[k]
+                if len(nu) <= k:
+                    nu = wu_classes(ring, k)
+                poly = nu[k]
             else:
                 raise ValueError(f"cannot parse factor {factor!r}")
             factor_total = factor_total * poly ** e

@@ -34,7 +34,8 @@ from spinhalg.steenrod import (
     total_sq,
     wu_classes,
 )
-from spinhalg.steenrod import _sq1_monomial
+from spinhalg import steenrod
+from spinhalg.steenrod import _echelon, _reduce_row, _sq1_monomial
 
 RING = StiefelWhitneyRing()
 
@@ -354,12 +355,6 @@ class TestWuClasses:
                 total = total + sq(i, nu[k - i])
             assert (str(total), str(nu[k])) == ("0", "0"), f"degree {k}"
 
-    def test_uniqueness_of_triangular_solve(self):
-        # re-solving with perturbed start must break the identity
-        nu = wu_classes(RING, 6)
-        tampered = nu[2] + RING.w(2) + RING.w(2)  # no-op sanity
-        assert tampered == nu[2]
-
 
 class TestAdem:
     def test_sq1sq1(self):
@@ -426,6 +421,38 @@ class TestChi:
                 for i in range(0, n + 1):
                     total = total + sq(i, apply_operation(chi_sq(n - i), p))
                 assert total.is_zero()
+
+
+def row_space(rows):
+    """Every F2 sum of the rows, enumerated."""
+    space = {0}
+    for row in rows:
+        space |= {v ^ row for v in space}
+    return space
+
+
+class TestF2Elimination:
+    def test_against_the_enumerated_row_space(self):
+        # random rows carry a certificate bit above the mask, as in a
+        # slice: _echelon keeps rank-many rows, and _reduce_row clears every
+        # pivot column, removing a sum of rows that its certificate names
+        rng = random.Random(12)
+        for case in range(300):
+            width, count = rng.randint(1, 16), rng.randint(0, 12)
+            mask = (1 << width) - 1
+            raw = [rng.getrandbits(width) for _ in range(count)]
+            rows, pivots = _echelon([r | 1 << (width + i) for i, r in enumerate(raw)], mask)
+            space = row_space(raw)
+            assert 1 << len(rows) == len(space), case
+            v = rng.getrandbits(width)
+            reduced = _reduce_row(v, rows, pivots, mask)
+            assert not any(reduced >> b & 1 for b in pivots), case
+            assert (v ^ reduced) & mask in space, case
+            named = 0
+            for i in range(count):
+                if reduced >> (width + i) & 1:
+                    named ^= raw[i]
+            assert named == (v ^ reduced) & mask, case
 
 
 class TestIdeals:
@@ -545,6 +572,14 @@ class TestQuotientSeries:
     def test_negative_degree_is_an_error(self, kind):
         with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
             bso_quotient_model(kind, -1)
+
+    def test_unknown_kind_is_refused_before_any_solve(self, monkeypatch):
+        def no_solve(ring, max_degree):
+            raise AssertionError("wu_classes called for an unknown kind")
+
+        monkeypatch.setattr(steenrod, "wu_classes", no_solve)
+        with pytest.raises(ValueError, match="^kind must be spinh, spin or spinc$"):
+            bso_quotient_model("spinx", 8)
 
 
 class TestSq1Formula:
@@ -676,12 +711,22 @@ class TestParser:
         with pytest.raises(ValueError):
             parse_polynomial(RING, "")
 
-    def test_wu_factor_at_the_degree_cap(self):
-        # a long enough wu_cache is read, not recomputed
-        cache = [RING.zero()] * 40 + [RING.w(40)]
-        assert parse_polynomial(RING, "v40", wu_cache=cache) == RING.w(40)
+    def test_wu_factor_at_the_degree_cap(self, monkeypatch):
+        # v40 parses at the cap, and its one solve serves the later factor
+        # v2; v41 is refused before any solve
+        solves = []
+
+        def counted(ring, max_degree):
+            solves.append(max_degree)
+            return wu_classes(ring, max_degree)
+
+        monkeypatch.setattr(steenrod, "wu_classes", counted)
+        p = parse_polynomial(RING, "v40*v2")
+        assert solves == [40]
+        assert p.is_homogeneous() and p.degree() == 42
         with pytest.raises(ValueError, match="v41 has degree 41, over the cap 40"):
-            parse_polynomial(RING, "v41", wu_cache=cache + [RING.w(41)])
+            parse_polynomial(RING, "v41")
+        assert solves == [40]
 
     def test_deterministic_str(self):
         p = parse_polynomial(RING, "w3^2+w2*w4")
