@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every subcommand wraps exactly one library operation family, imports only
-that family (and `clifford`, whose variant names the parser lists), and
-prints deterministically: identical flags give byte-identical output, so the
-outputs are safe to pin in golden files.  Exit codes: 0 success, 2 usage
-error (argparse), 1 domain error from the library, or a reader that closed
-stdout before the output was written (no message, no traceback).
+that family, and prints deterministically: identical flags give
+byte-identical output, so the outputs are safe to pin in golden files.
+Exit codes: 0 success, 2 usage error (argparse), 1 domain error from the
+library, or a reader that closed stdout before the output was written (no
+message, no traceback).
 """
 
 from __future__ import annotations
@@ -270,7 +270,6 @@ def _add_format(parser, *, tsv=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import clifford
     parser = argparse.ArgumentParser(
         prog="spinhalg",
         description="Exact Clifford/characteristic-class/Steenrod/K-theory computations")
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="matrix normal form of a Clifford-type algebra")
     p.add_argument("--n", type=_int_option)
-    p.add_argument("--variant", choices=list(clifford.VARIANTS), default="Cl")
+    p.add_argument("--variant", choices=["Cl", "CCl", "Clh", "CClh"], default="Cl")
     p.add_argument("--r", type=_int_option)
     p.add_argument("--s", type=_int_option)
     p.add_argument("--quaternionic", action="store_true")

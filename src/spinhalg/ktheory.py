@@ -127,6 +127,23 @@ def _tor_with(group: AbGroupExpr, ring: CoefficientRing) -> AbGroupExpr:
     return AbGroupExpr(tuple(parts))
 
 
+def _forced(sub: AbGroupExpr, quot: AbGroupExpr, split: bool) -> AbGroupExpr | None:
+    """The middle group of 0 -> sub -> ? -> quot -> 0 when the sequence
+    forces it (it splits, or an end vanishes), otherwise None."""
+    if split or quot.is_zero():
+        return sub + quot
+    if sub.is_zero():
+        return quot
+    return None
+
+
+def _group_text(result) -> str:
+    """The group of a determined result, else its two ends."""
+    if result.determined:
+        return str(result.group)
+    return f"extension({result.quot} by {result.sub})"
+
+
 @dataclass(frozen=True)
 class CoefficientGroup:
     """Universal-coefficient answer: the group when the extension is
@@ -140,10 +157,7 @@ class CoefficientGroup:
     sub: AbGroupExpr
     quot: AbGroupExpr
 
-    def __str__(self):
-        if self.determined:
-            return str(self.group)
-        return f"extension({self.quot} by {self.sub})"
+    __str__ = _group_text
 
 
 def k_coefficients_extension(theory: str, n: int, ring: CoefficientRing) -> CoefficientGroup:
@@ -151,17 +165,13 @@ def k_coefficients_extension(theory: str, n: int, ring: CoefficientRing) -> Coef
     0 -> G_n (x) ring -> result -> Tor(G_{n-1}, ring) -> 0."""
     base = integral_table(theory, n)
     if ring.tag == "Z":
-        return CoefficientGroup(theory, n, ring, True, base, base, _0)
-    sub = _tensor_with(base, ring)
-    quot = _tor_with(integral_table(theory, n - 1), ring)
-    if ring.tag in ("Q", "Q/Z"):
-        # divisible subgroup: the sequence splits, no ambiguity
-        return CoefficientGroup(theory, n, ring, True, sub + quot, sub, quot)
-    if quot.is_zero():
-        return CoefficientGroup(theory, n, ring, True, sub, sub, quot)
-    if sub.is_zero():
-        return CoefficientGroup(theory, n, ring, True, quot, sub, quot)
-    return CoefficientGroup(theory, n, ring, False, None, sub, quot)
+        sub, quot = base, _0
+    else:
+        sub = _tensor_with(base, ring)
+        quot = _tor_with(integral_table(theory, n - 1), ring)
+    # over Q and Q/Z the subgroup is divisible, so the sequence splits
+    group = _forced(sub, quot, split=ring.tag != "Zk")
+    return CoefficientGroup(theory, n, ring, group is not None, group, sub, quot)
 
 
 def k_coefficients(theory: str, n: int, ring: CoefficientRing | str = "Z") -> AbGroupExpr:
@@ -193,8 +203,7 @@ class ZkSphereResult:
     complexification: str | None  # "iso" | "x2" | None
 
     def __str__(self):
-        body = str(self.group) if self.determined \
-            else f"extension({self.quot} by {self.sub})"
+        body = _group_text(self)
         if self.complexification:
             body += f" [complexification: {self.complexification}]"
         return body
@@ -229,9 +238,9 @@ def zk_sphere_group(theory: str, m: int, k: int, star: int = 0) -> ZkSphereResul
     comparison = None
     if theory == "KO" and star == 0 and m % 4 == 0:
         comparison = "iso" if m % 8 == 0 else "x2"
-    if tor_part.is_zero():
-        return ZkSphereResult(theory, m, k, star, True, sub, sub, tor_part, comparison)
-    return ZkSphereResult(theory, m, k, star, False, None, sub, tor_part, comparison)
+    group = _forced(sub, tor_part, split=False)
+    return ZkSphereResult(theory, m, k, star, group is not None, group, sub,
+                          tor_part, comparison)
 
 
 # --------------------------------------------------------------------------
@@ -341,33 +350,22 @@ class FGAbelianGroup:
     @classmethod
     def from_summands(cls, rank: int = 0, orders: Iterable[int] = ()) -> "FGAbelianGroup":
         """Normalize an arbitrary direct sum of cyclic groups into
-        invariant-factor form."""
-        primary: dict[int, list[int]] = {}
+        invariant-factor form.  By Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b),
+        each order passes up the chain f1 | f2 | ..., leaving the gcd in
+        each place and carrying the lcm on."""
+        chain: list[int] = []
         for m in orders:
             if m < 1:
                 raise ValueError("cyclic orders must be positive")
-            for p, e in _factor(m).items():
-                primary.setdefault(p, []).append(e)
-        if not primary:
-            return cls(rank, ())
-        slots = max(len(v) for v in primary.values())
-        factors = []
-        for i in range(slots):
-            f = 1
-            for p, exps in primary.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    f *= p ** exps_sorted[i]
-            factors.append(f)
-        return cls(rank, tuple(sorted(factors)))
+            for i, f in enumerate(chain):
+                chain[i], m = gcd(f, m), lcm(f, m)
+            chain.append(m)
+        return cls(rank, tuple(f for f in chain if f > 1))
 
     @property
     def order(self) -> int:
         """Order of the torsion part."""
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+        return prod(self.torsion)
 
     def is_finite(self) -> bool:
         return self.rank == 0
@@ -377,19 +375,6 @@ class FGAbelianGroup:
 
     def __str__(self):
         return str(self.to_expr())
-
-
-def _factor(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 class VerificationBoundExceeded(ValueError):
@@ -413,17 +398,15 @@ class DualityReport:
 
 
 def _element_orders(factors: tuple[int, ...]) -> dict[int, int]:
-    """Multiset (order -> count) of element orders of a product of
-    cyclic groups, by enumeration."""
+    """Multiset (order -> count) of element orders of a product of cyclic
+    groups, without enumerating it: d kills prod gcd(d, n_i) elements, and
+    those of order exactly d are what is left after the divisors of d."""
+    exponent = lcm(*factors)
     counts: dict[int, int] = {}
-    for tup in itertools.product(*(range(n) for n in factors)):
-        o = 1
-        for x, n in zip(tup, factors):
-            if x:
-                o = lcm(o, n // gcd(x, n))
-        counts[o] = counts.get(o, 0) + 1
-    if not factors:
-        counts[1] = 1
+    for d in range(1, exponent + 1):
+        if exponent % d == 0:
+            counts[d] = prod(gcd(d, n) for n in factors) - sum(
+                c for e, c in counts.items() if d % e == 0)
     return counts
 
 
@@ -437,10 +420,11 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
     The duality is the identity on isomorphism classes.  For the torsion
     part every homomorphism into Q/Z is liftable (there is nothing to
     lift), so the verification counts the candidate generator assignments
-    for maps Hom(A, Q/Z) -> Q/Z and compares element-order statistics of
-    the dual with those of A.  Finite abelian groups with the same number of
-    elements of each order are isomorphic, so the order comparison
-    decides the isomorphism type.  For free factors the liftable
+    for maps Hom(A, Q/Z) -> Q/Z and compares the element-order statistics
+    of the dual, enumerated row by row, with those of A, counted by the
+    gcd identity of _element_orders.  Finite abelian groups with the same
+    number of elements of each order are isomorphic, so the order
+    comparison decides the isomorphism type.  For free factors the liftable
     endomorphisms of Q/Z are exactly the integer multiplications;
     free_witnesses reports, for each rational in DEFAULT_WITNESSES,
     whether it is one.
@@ -455,9 +439,7 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
     elements = list(itertools.product(*(range(n) for n in factors)))
 
     # pairing values live in (1/N)Z/Z for N = exponent; store numerators
-    denominator = 1
-    for n in factors:
-        denominator = lcm(denominator, n)
+    denominator = lcm(*factors)
     weights = [denominator // n for n in factors]
 
     # dual side: each a defines phi_a = <a, .>; all duals are of this form.

@@ -441,5 +441,5 @@ def weak_thom_chern_character(half_rank: int, trunc: int = DEFAULT_TRUNC) -> Wea
         half_rank=half_rank,
         sign=sign,
         cosh_factor=cosh_sqrt_series(max(1, trunc // 4)),
-        a_hat_inverse_root=a_hat_series(trunc).reciprocal(),
+        a_hat_inverse_root=_sinh_series(Fraction(1, 2), trunc),
     )

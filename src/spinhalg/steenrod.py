@@ -36,6 +36,20 @@ UNIT: Monomial = ()
 # --max-degree 40` 0.8-2.0 s / 60 MiB (the host's speed varied 2x).
 MAX_STEENROD_DEGREE = 40
 
+# Most monomials a product in a parsed polynomial may reach, bounded before
+# it is built: a factor p^e has at most len(p)^popcount(e) terms, since
+# over F2 each power p^(2^j) has the terms of p.  On one core of an Intel
+# Xeon (Python 3.11), v24^3 (bound 12,996) and v16^7 (17,576) parse and
+# take Sq^1 in under a second; v32*v40 (827,388) took 17 s / 487 MiB and
+# v16^15 (456,976) 45 s / 1.2 GB.
+MAX_PRODUCT_TERMS = 20_000
+
+# Most generators past BASE_INDEX that one Steenrod call may lay out.
+# Sq^k of w_m reaches about 2k of them, and the layout's memory grows
+# with the count: `sq --k 20000 --poly w40000` lays out about 40,000 in
+# 24 MiB, `sq --k 1000000 --poly w1000000` about two million in 414 MiB.
+MAX_LAYOUT_GENERATORS = 100_000
+
 
 class DegreeCapExceeded(ValueError):
     """A linear-algebra request went past the configured degree cap."""
@@ -311,6 +325,10 @@ def _pick_layout(ring: StiefelWhitneyRing, spans: Iterable[tuple[int, int, int]]
             runs[-1][2] = max(runs[-1][2], hi)
         else:
             runs.append([family, lo, hi])
+    count = sum(hi - lo + 1 for _, lo, hi in runs)
+    if count > MAX_LAYOUT_GENERATORS:
+        raise ValueError(f"the call reaches {count} generators past w{BASE_INDEX}, "
+                         f"over the cap {MAX_LAYOUT_GENERATORS}")
     return _layout(ring, tuple(map(tuple, runs)), bound.bit_length())
 
 
@@ -855,6 +873,10 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str) -> F2Polynomial:
                 poly = nu[k]
             else:
                 raise ValueError(f"cannot parse factor {factor!r}")
+            bound = len(factor_total.terms) * len(poly.terms) ** e.bit_count()
+            if bound > MAX_PRODUCT_TERMS:
+                raise ValueError(f"the product up to {factor!r} may reach {bound} "
+                                 f"terms, over the cap {MAX_PRODUCT_TERMS}")
             factor_total = factor_total * poly ** e
         total = total + factor_total
     return total

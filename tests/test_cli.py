@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spinhalg
-from spinhalg.cli import main
+from spinhalg.cli import build_parser, main
 from spinhalg.schemas import SchemaError, load_schema, validate
 from spinhalg.steenrod import StiefelWhitneyRing
 
@@ -29,6 +30,17 @@ def run_subprocess(*argv, timeout=60):
 
 
 class TestClassifyCommand:
+    def test_variant_choices_are_cliffords(self):
+        # the parser lists the names as a literal, so that it need not
+        # import clifford
+        from spinhalg import clifford
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        variant = next(a for a in subparsers.choices["classify"]._actions
+                       if a.dest == "variant")
+        assert variant.choices == list(clifford.VARIANTS)
+
     def test_table_entry(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "6", "--variant", "Clh")
         assert code == 0 and out == "H(8)\n"
@@ -333,6 +345,34 @@ class TestSteenrodCommands:
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("poly, factor, bound", [
+        ("v16^15", "v16^15", 26 ** 4),     # v16 has 26 terms, popcount(15) = 4
+        ("v32*v40", "v40", 423 * 1956),    # v32 has 423 terms, v40 1956
+    ])
+    def test_product_over_the_term_cap_is_an_error(self, capsys, poly, factor, bound):
+        code, out, err = run(capsys, "steenrod", "sq", "--k", "1", "--poly", poly)
+        assert (code, out) == (1, "")
+        assert err == (f"error[ValueError]: the product up to {factor!r} may reach "
+                       f"{bound} terms, over the cap 20000\n")
+
+    def test_product_under_the_term_cap(self, capsys):
+        code, out, _ = run(capsys, "steenrod", "sq", "--k", "1", "--poly", "v40*v2")
+        assert code == 0 and out.startswith("w")
+
+    @pytest.mark.parametrize("k, count", [(60000, 119959), (1000000, 1999959)])
+    def test_layout_over_the_generator_cap_is_an_error(self, k, count):
+        # Sq^k w_k reaches w_42..w_k and w_k..w_2k past the base
+        proc = run_subprocess("steenrod", "sq", "--k", str(k), "--poly", f"w{k}",
+                              timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error[ValueError]: the call reaches {count} generators "
+                               "past w41, over the cap 100000\n")
+
+    def test_layout_under_the_generator_cap(self, capsys):
+        # w_42..w_30000 and w_60000..w_90000: about 60,000 generators
+        code, out, _ = run(capsys, "steenrod", "sq", "--k", "30000", "--poly", "w60000")
+        assert code == 0 and out.startswith("w")
 
     def test_sq_on_a_large_generator(self):
         # Wu's formula Sq^k w_m = sum_t binom(m - k + t - 1, t) w_(k-t) w_(m+t),

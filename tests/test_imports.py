@@ -1,6 +1,6 @@
 """Start-up cost: `import spinhalg` loads no family module, its public names
 are imported on first use, and each CLI subcommand loads only the family it
-runs (plus `cli` and `clifford`, whose variant names the parser lists)."""
+runs (plus `cli`)."""
 
 import json
 import os
@@ -79,23 +79,25 @@ CLI = "from spinhalg.cli import main\ncode = main(sys.argv[1:])"
 
 
 @pytest.mark.parametrize("argv, family, code", [
-    (["classify", "--n", "6"], [], 0),
-    (["dims", "--n", "3", "--field", "H"], ["modules"], 0),
-    (["ngroup", "--n", "3", "--field", "R"], ["modules"], 0),
+    (["classify", "--n", "6"], ["clifford"], 0),
+    # modules reads its tables from clifford's classification
+    (["dims", "--n", "3", "--field", "H"], ["clifford", "modules"], 0),
+    (["ngroup", "--n", "3", "--field", "R"], ["clifford", "modules"], 0),
     (["genus", "--sig", "1", "--euler", "3", "--orientation", "+"], ["series"], 0),
     # the parity failure raises ktheory's IntegralityError
     (["genus", "--sig", "1", "--euler", "2", "--orientation", "+"],
-     ["ktheory", "modules", "series"], 1),
+     ["clifford", "ktheory", "modules", "series"], 1),
     (["hp-table", "--max-i", "3", "--max-j", "3"], ["series"], 0),
     (["steenrod", "sq", "--k", "1", "--poly", "w2*w3"], ["steenrod"], 0),
     (["steenrod", "wu", "--max-degree", "4"], ["steenrod"], 0),
     (["steenrod", "verify-bspinh", "--max-degree", "4"], ["steenrod"], 0),
-    (["ktable", "--theory", "KO", "--range", "0..3"], ["ktheory", "modules"], 0),
-    (["zk-index", "--n", "8", "--k", "3", "--integral", "6"], ["ktheory", "modules"], 0),
-    (["dual", "--torsion", "6"], ["ktheory", "modules"], 0),
+    (["ktable", "--theory", "KO", "--range", "0..3"], ["clifford", "ktheory", "modules"], 0),
+    (["zk-index", "--n", "8", "--k", "3", "--integral", "6"],
+     ["clifford", "ktheory", "modules"], 0),
+    (["dual", "--torsion", "6"], ["clifford", "ktheory", "modules"], 0),
 ])
 def test_subcommand_loads_only_its_family(argv, family, code):
     proc, loaded = loaded_modules(CLI, *argv)
     assert (proc.returncode, bool(proc.stdout)) == (code, code == 0)
-    expected = {"spinhalg", "spinhalg.cli", "spinhalg.clifford"}
+    expected = {"spinhalg", "spinhalg.cli"}
     assert loaded == sorted(expected | {f"spinhalg.{m}" for m in family})

@@ -1,12 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+import spinhalg
 from spinhalg.modules import AbGroupExpr, ngroup
 from spinhalg.ktheory import (
     CoefficientRing,
@@ -27,7 +32,7 @@ from spinhalg.ktheory import (
     zk_sphere_group,
     zk_to_qz,
 )
-from spinhalg.ktheory import DEFAULT_WITNESSES, _element_orders
+from spinhalg.ktheory import DEFAULT_WITNESSES, _element_orders, _forced
 
 
 class TestCoefficientRing:
@@ -125,6 +130,17 @@ class TestCoefficientChanges:
         report = k_coefficients_extension("KO", 2, CoefficientRing("Zk", 2))
         assert not report.determined
         assert str(report.sub) == "Z2" and str(report.quot) == "Z2"
+
+    def test_forced_extension_rule(self):
+        # over the period tables the split case never meets two nonzero
+        # ends (Q kills Tor; over Q/Z rank and torsion sit in other
+        # degrees), so the rule is checked on its own
+        z2, zero = AbGroupExpr((2,)), AbGroupExpr.zero()
+        assert _forced(AbGroupExpr(("Q/Z",)), z2, split=True) == AbGroupExpr(("Q/Z", 2))
+        assert _forced(z2, z2, split=True) == AbGroupExpr((2, 2))
+        assert _forced(z2, z2, split=False) is None
+        assert _forced(z2, zero, split=False) == z2
+        assert _forced(zero, z2, split=False) == z2
 
     def test_zk_tor_only(self):
         # KO_3(pt; Z2): tensor side zero, Tor(KO_2) = Z2
@@ -244,10 +260,20 @@ class TestFGAbelianGroup:
     def test_str(self):
         assert str(FGAbelianGroup(1, (6,))) == "Z+Z6"
 
+    @staticmethod
+    def check_against_smith_normal_form(orders):
+        # the non-unit diagonal of sympy's Smith normal form of the diagonal
+        # relation matrix, with the orders listed both ways
+        diagonal = ()
+        if orders:
+            snf = smith_normal_form(sympy.diag(*orders), domain=sympy.ZZ)
+            diagonal = (abs(int(snf[i, i])) for i in range(len(orders)))
+        expected = tuple(f for f in diagonal if f != 1)
+        for listed in (orders, orders[::-1]):
+            assert FGAbelianGroup.from_summands(0, listed).torsion == expected, listed
+
     def test_invariant_factors_by_smith_normal_form(self):
-        # every list of cyclic orders >= 2 whose product is at most 64,
-        # against the non-unit diagonal of sympy's Smith normal form of the
-        # diagonal relation matrix
+        # every list of cyclic orders >= 2 whose product is at most 64
         def torsion_lists(bound, least=2):
             yield ()
             for m in range(least, bound + 1):
@@ -255,16 +281,18 @@ class TestFGAbelianGroup:
                     yield (m,) + tail
         checked = 0
         for orders in torsion_lists(64):
-            if orders:
-                snf = smith_normal_form(sympy.diag(*orders), domain=sympy.ZZ)
-                factors = tuple(abs(int(snf[i, i])) for i in range(len(orders)))
-            else:
-                factors = ()
-            expected = tuple(f for f in factors if f != 1)
-            for listed in (orders, orders[::-1]):
-                assert FGAbelianGroup.from_summands(0, listed).torsion == expected, listed
+            self.check_against_smith_normal_form(orders)
             checked += 1
         assert checked == 198  # unordered factorizations of 1..64
+
+    @pytest.mark.parametrize("orders", [
+        (2**61 - 1, 4 * (2**61 - 1), 6),
+        (2**127 - 1, 6),
+        (2**61 - 1, 2**31 - 1, 6 * (2**31 - 1), 10),
+    ])
+    def test_large_prime_factors_by_smith_normal_form(self, orders):
+        # Mersenne primes, far past what trial division could factor
+        self.check_against_smith_normal_form(orders)
 
 
 class TestDualGroup:
@@ -301,6 +329,31 @@ class TestDualGroup:
             dual_group(FGAbelianGroup(3, ()))
         with pytest.raises(VerificationBoundExceeded):
             dual_group(FGAbelianGroup(0, (1009,)))
+
+    def test_large_prime_order_is_refused_at_once(self):
+        # the invariant factors come from gcd and lcm, so a 30-digit prime
+        # reaches the order cap without being factored
+        env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinhalg.cli", "dual",
+             "--torsion", "1000000000000000000000000000057"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error[VerificationBoundExceeded]: ")
+        assert "Traceback" not in proc.stderr
+
+
+def enumerated_element_orders(factors):
+    """Oracle: (order -> count) of the element orders of a product of cyclic
+    groups, walking every element."""
+    counts = {}
+    for tup in itertools.product(*(range(n) for n in factors)):
+        o = 1
+        for x, n in zip(tup, factors):
+            if x:
+                o = lcm(o, n // gcd(x, n))
+        counts[o] = counts.get(o, 0) + 1
+    return counts
 
 
 def brute_force_dual_group(group):
@@ -346,7 +399,7 @@ def brute_force_dual_group(group):
         dual_orders[denominator // shared] = dual_orders.get(denominator // shared, 0) + 1
     if not elements:
         dual_orders[1] = 1
-    orders_match = _element_orders(factors) == dual_orders
+    orders_match = enumerated_element_orders(factors) == dual_orders
     witness_results = tuple((F(q), F(q).denominator == 1) for q in DEFAULT_WITNESSES)
     free_ok = all((q.denominator == 1) == descended for q, descended in witness_results)
     verified = (evaluation_bijective and valid == len(elements)
@@ -362,6 +415,11 @@ def torsion_lists(max_order):
 
 
 class TestDualGroupParity:
+    def test_element_orders_match_the_enumeration(self):
+        assert _element_orders(()) == enumerated_element_orders(()) == {1: 1}
+        for orders in torsion_lists(64):
+            assert _element_orders(tuple(orders)) == enumerated_element_orders(orders), orders
+
     @pytest.mark.parametrize("rank", [0, 1, 2])
     def test_every_field_matches_the_enumeration(self, rank):
         groups = {FGAbelianGroup.from_summands(rank, orders) for orders in torsion_lists(64)}

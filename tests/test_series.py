@@ -294,6 +294,12 @@ class TestWeakThomFactor:
         odd = weak_thom_chern_character(1, trunc=8)
         assert odd.single_root_series().coeff(2) == F(-1, 12)
 
+    def test_inverse_root_is_the_reciprocal_of_a_hat(self):
+        # built directly as sinh(x/2)/(x/2), with no reciprocal taken
+        for trunc in range(49):
+            root = weak_thom_chern_character(1, trunc).a_hat_inverse_root
+            assert root == a_hat_series(trunc).reciprocal(), trunc
+
     def test_factors(self):
         factor = weak_thom_chern_character(4, trunc=16)
         assert factor.cosh_factor.constant == 2
