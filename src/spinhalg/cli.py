@@ -35,16 +35,23 @@ def _json_dump(payload) -> str:
 # subcommand handlers
 # --------------------------------------------------------------------------
 
-def _cmd_classify(args) -> str:
-    from . import clifford
+def _signature(args) -> tuple[int, int] | None:
+    """(r, s) from --r/--s, or None when the degree is --n alone."""
     if args.r is not None or args.s is not None:
         if args.n is not None:
             raise ValueError("give either --n or --r/--s, not both")
-        desc = clifford.classify_indefinite(args.r or 0, args.s or 0,
-                                            quaternionic=args.quaternionic)
+        return args.r or 0, args.s or 0
+    if args.n is None:
+        raise ValueError("one of --n or --r/--s is required")
+    return None
+
+
+def _cmd_classify(args) -> str:
+    from . import clifford
+    signature = _signature(args)
+    if signature is not None:
+        desc = clifford.classify_indefinite(*signature, quaternionic=args.quaternionic)
     else:
-        if args.n is None:
-            raise ValueError("one of --n or --r/--s is required")
         desc = clifford.classify(args.n, args.variant)
     if args.format == "json":
         return _json_dump(desc.to_json())
@@ -61,13 +68,12 @@ def _cmd_dims(args) -> str:
 
 def _cmd_ngroup(args) -> str:
     from . import modules
-    if args.r is not None or args.s is not None:
-        idx = modules.BigradedIndex(args.r or 0, args.s or 0, args.field)
+    signature = _signature(args)
+    if signature is not None:
+        idx = modules.BigradedIndex(*signature, args.field)
         group = modules.ngroup_bigraded(idx)
         key = {"r": idx.r, "s": idx.s}
     else:
-        if args.n is None:
-            raise ValueError("one of --n or --r/--s is required")
         group = modules.ngroup(args.n, args.field, h=args.h)
         key = {"n": args.n}
     if args.format == "json":
@@ -368,6 +374,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Python 3.11's argparse stores `--opt=--` as [] without running
+        # type= or choices, and other versions may pass "--" on; no option
+        # here takes a list or the value --
+        for name, value in vars(args).items():
+            if isinstance(value, list) or value == "--":
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import Iterable
 
 # A generator is (index, family): family 0 unprimed, 1 primed.
@@ -49,6 +50,16 @@ MAX_PRODUCT_TERMS = 20_000
 # with the count: `sq --k 20000 --poly w40000` lays out about 40,000 in
 # 24 MiB, `sq --k 1000000 --poly w1000000` about two million in 414 MiB.
 MAX_LAYOUT_GENERATORS = 100_000
+
+# Most products one `sq` call may form in its Cartan expansion, bounded
+# before it starts by the recursion of the expansion with + in place of
+# XOR.  On one core of an Intel Xeon (Python 3.11), the CLI's `sq --k 8
+# --poly v40*v2` (bound 731,800) takes about 1.8 s and `--k 64 --poly
+# w200*w300*w500` (305,469) about 3.8 s; without the cap, `--k 16 --poly
+# v40*v2` (15.9 million) took 9.8 s, `--k 88 --poly w200*w300*w500`
+# (1.03 million) 18.9 s, and `--k 40 --poly w2*w3*...*w12` (9.4e10)
+# printed nothing within 30 s.
+MAX_CARTAN_TERMS = 1_000_000
 
 
 class DegreeCapExceeded(ValueError):
@@ -409,10 +420,76 @@ def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[
     return frozenset(map(layout.decode, _sq_code(layout, k, layout.encode(mono), degree)))
 
 
+def _count_disjoint(n: int, mask: int) -> int:
+    """How many t in [0, n] share no bit with mask, n >= 0, read off the
+    bits of n from the top: where n has a 1, the t that agree with n above
+    and put a 0 there are free on the bits below that mask leaves open."""
+    count = 0
+    for b in reversed(range(n.bit_length())):
+        if n >> b & 1:
+            count += 1 << (b - (mask & ((1 << b) - 1)).bit_count())
+            if mask >> b & 1:
+                return count
+    return count + 1
+
+
+@lru_cache(maxsize=None)
+def _power_terms(index: int, e: int, i: int) -> int:
+    """Bound on the products _sq_power forms for Sq^i(w_index^e), counted
+    by its recursion with + in place of XOR; a count past MAX_CARTAN_TERMS
+    is stored as MAX_CARTAN_TERMS + 1."""
+    if i == 0:
+        return 1
+    if i > index * e:
+        return 0
+    if e == 1:
+        if i == index:
+            return 1  # Sq^j w_j = w_j^2
+        # Wu's formula below the top: binom(i - j, t) = binom(j - i + t - 1, t)
+        # mod 2 is odd iff t & (j - i - 1) == 0 (Kummer), and t = i - 1
+        # meets w_1 = 0
+        mask = index - i - 1
+        return _count_disjoint(i, mask) - ((i - 1) & mask == 0)
+    if e % 2 == 0:
+        return 0 if i % 2 else _power_terms(index, e // 2, i // 2)
+    return min(sum(_power_terms(index, 1, a) * _power_terms(index, e - 1, i - a)
+                   for a in range(max(0, i - index * (e - 1)), min(i, index) + 1)),
+               MAX_CARTAN_TERMS + 1)
+
+
+@lru_cache(maxsize=None)
+def _cartan_terms(k: int, mono: Monomial) -> int:
+    """Bound on the products the Cartan expansion of Sq^k(mono) forms:
+    the recursion of _sq_code, which splits off the power of the lowest
+    generator, counted with + in place of XOR and capped like _power_terms.
+    It stops once the count passes the cap, which bounds its own cost for
+    large k over several generators."""
+    if k == 0:
+        return 1
+    degree = monomial_degree(mono)
+    if k > degree:
+        return 0
+    ((index, _), e), rest = mono[0], mono[1:]
+    power_degree = index * e
+    # a plain loop, so that the recursion takes one frame per generator,
+    # as _sq_code's does
+    total = 0
+    for i in range(max(0, k - degree + power_degree), min(k, power_degree) + 1):
+        left = _power_terms(index, e, i)
+        if left:
+            total += left * _cartan_terms(k - i, rest)
+            if total > MAX_CARTAN_TERMS:
+                return MAX_CARTAN_TERMS + 1
+    return total
+
+
 def sq(k: int, p: F2Polynomial) -> F2Polynomial:
     """k-th Steenrod square, extended by Cartan's formula."""
     if k < 0:
         raise ValueError("Steenrod squares are indexed by nonnegative integers")
+    if sum(map(_cartan_terms, repeat(k), p.terms)) > MAX_CARTAN_TERMS:
+        raise ValueError(f"the Cartan expansion of Sq^{k} may form more than "
+                         f"{MAX_CARTAN_TERMS} products, over the cap")
     acc: set[Monomial] = set()
     for mono in p.terms:
         acc.symmetric_difference_update(_sq_monomial(p.ring, k, mono))

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinhalg
 from spinhalg.cli import build_parser, main
@@ -116,6 +121,16 @@ class TestDimsAndNgroup:
     def test_ngroup_bigraded(self, capsys):
         code, out, _ = run(capsys, "ngroup", "--r", "4", "--s", "0", "--field", "H")
         assert code == 0 and out == "Z\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "5", "--r", "1", "--s", "0"], "give either --n or --r/--s, not both"),
+        (["--n", "5", "--s", "2"], "give either --n or --r/--s, not both"),
+        ([], "one of --n or --r/--s is required"),
+    ])
+    def test_ngroup_resolves_n_and_signature_like_classify(self, capsys, argv, message):
+        code, out, err = run(capsys, "ngroup", *argv, "--field", "R")
+        assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
+        assert run(capsys, "classify", *argv) == (code, out, err)
 
     def test_ngroup_json(self, capsys):
         _, out, _ = run(capsys, "ngroup", "--n", "20", "--field", "R", "--format", "json")
@@ -374,6 +389,15 @@ class TestSteenrodCommands:
         code, out, _ = run(capsys, "steenrod", "sq", "--k", "30000", "--poly", "w60000")
         assert code == 0 and out.startswith("w")
 
+    def test_cartan_expansion_over_the_cap_is_an_error(self):
+        # one monomial of degree 77, under the parse and layout caps; its
+        # Cartan expansion would form about 9.4e10 products
+        proc = run_subprocess("steenrod", "sq", "--k", "40", "--poly",
+                              "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12", timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error[ValueError]: the Cartan expansion of Sq^40 may "
+                               "form more than 1000000 products, over the cap\n")
+
     def test_sq_on_a_large_generator(self):
         # Wu's formula Sq^k w_m = sum_t binom(m - k + t - 1, t) w_(k-t) w_(m+t),
         # the parity of binom(M, t) by Kummer: no carry in t + (M - t)
@@ -578,6 +602,135 @@ class TestIntegerOptions:
     def test_ascii_integers(self, capsys, value):
         code, out, err = run(capsys, "dims", f"--n={value}", "--field", "H")
         assert (code, out, err) == (0, "8\n", "")
+
+
+# a valid call of every subcommand, as {option: value}
+VALID_CALLS = {
+    ("classify",): {"--n": "3"},
+    ("dims",): {"--n": "3", "--field": "R"},
+    ("ngroup",): {"--n": "3", "--field": "R"},
+    ("genus",): {"--sig": "1", "--euler": "3", "--orientation": "+"},
+    ("hp-table",): {"--max-i": "2", "--max-j": "2"},
+    ("steenrod", "sq"): {"--k": "1", "--poly": "w2"},
+    ("steenrod", "wu"): {"--max-degree": "4"},
+    ("steenrod", "verify-bspinh"): {"--max-degree": "4"},
+    ("ktable",): {"--theory": "KO", "--range": "0..2"},
+    ("zk-index",): {"--n": "8", "--k": "3", "--integral": "6"},
+    ("dual",): {"--torsion": "4"},
+}
+
+
+def value_options(parser):
+    """The options of a parser that take a value."""
+    return sorted(a.option_strings[0] for a in parser._actions
+                  if a.option_strings and a.nargs is None)
+
+
+def subcommand_parsers(parser, prefix=()):
+    """(command path, parser) for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommand_parsers(sub, prefix + (name,))
+    if prefix and not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions):
+        yield prefix, parser
+
+
+def dash_dash_calls():
+    """Every value option of every subcommand, and the global --trunc, given
+    as --opt=-- in an otherwise valid call."""
+    calls = []
+    for command, sub in subcommand_parsers(build_parser()):
+        for opt in value_options(sub):
+            rest = [t for o, v in VALID_CALLS[command].items() if o != opt for t in (o, v)]
+            calls.append((opt, [*command, f"{opt}=--", *rest]))
+    calls.append(("--trunc", ["--trunc=--", "classify", "--n", "3"]))
+    return calls
+
+
+class TestDashDashValue:
+    def test_valid_calls_cover_every_subcommand(self, capsys):
+        commands = [command for command, _ in subcommand_parsers(build_parser())]
+        assert sorted(commands) == sorted(VALID_CALLS)
+        for command, options in VALID_CALLS.items():
+            code, out, _ = run(capsys, *command, *[t for o, v in options.items() for t in (o, v)])
+            assert code == 0 and out, command
+
+    @pytest.mark.parametrize("option, argv", dash_dash_calls(),
+                             ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+    def test_is_a_usage_error(self, capsys, option, argv):
+        # argparse (3.11) stores --opt=-- as [] without running type= or
+        # choices; the value must still end in a usage error
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert f"error: argument {option}:" in err
+
+
+# tokens no option accepts: a bare --, other scripts' digits, an
+# underscore, the empty string, a number past every cap, an empty range
+# and a factor with an empty exponent
+MALFORMED = ["--", "\u0663", "\uff14", "1_0", "", "9" * 40, "5..3", "w2^"]
+SMALL = st.integers(-3, 24).map(str)
+# well-formed values of the options without choices; the others draw
+# from their choices
+FUZZ_VALUES = {
+    "--n": SMALL, "--r": SMALL, "--s": SMALL, "--k": SMALL, "--sig": SMALL,
+    "--euler": SMALL, "--max-i": SMALL, "--max-j": SMALL, "--max-degree": SMALL,
+    "--rank": SMALL,
+    "--coeff": st.sampled_from(["Z", "Q", "Q/Z", "Z3", "Z/4"]),
+    "--poly": st.sampled_from(["w2", "v4", "w2^2+w4", "w3*w5", "v8*w2", "0", "1"]),
+    "--range": st.builds("{}..{}".format, SMALL, SMALL) | SMALL,
+    "--integral": SMALL | st.sampled_from(["9/2", "-3/2"]),
+    "--eta": SMALL | st.sampled_from(["1/2", "-5/2"]),
+    "--torsion": st.lists(st.integers(1, 24).map(str), max_size=3).map(",".join),
+}
+
+
+def one_in(draw, n):
+    return draw(st.integers(0, n - 1)) == 0
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A call of one subcommand: the options of a valid call are each left
+    out one time in eight, the others given half the time; a value is
+    malformed one time in eight, and joined by = half the time."""
+    command = draw(st.sampled_from(sorted(VALID_CALLS)))
+    parser = dict(subcommand_parsers(build_parser()))[command]
+    argv = [f"--trunc={draw(SMALL | st.sampled_from(MALFORMED))}"] if one_in(draw, 8) else []
+    argv += command
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        opt = action.option_strings[0]
+        if one_in(draw, 8) if opt in VALID_CALLS[command] else draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            argv.append(opt)
+            continue
+        if one_in(draw, 8):
+            value = draw(st.sampled_from(MALFORMED))
+        elif action.choices:
+            value = draw(st.sampled_from(action.choices))
+        else:
+            value = draw(FUZZ_VALUES[opt])
+        argv += [f"{opt}={value}"] if draw(st.booleans()) else [opt, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True,
+              database=None)
+    @given(fuzz_argv())
+    def test_exit_codes_and_output(self, argv):
+        # in process: no thread or subprocess is started
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert bool(out.getvalue()) == (code == 0), argv
 
 
 class TestHarness:

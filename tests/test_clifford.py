@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinhalg import clifford
 from spinhalg.clifford import (
     AlgebraDescriptor,
     CliffordElement,
@@ -418,10 +419,31 @@ class TestGradedTensor:
             graded_tensor_check(7, 6)
         assert graded_tensor_check(7, 6, max_total=13).passed
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
+    def test_wrong_koszul_sign_fails_the_basis_check(self, m, n, monkeypatch):
+        monkeypatch.setattr(clifford, "_pair_mul", left_koszul_pair_mul)
+        report = graded_tensor_check(m, n)
+        assert report.relations_ok
+        assert not report.basis_bijective
+
     @pytest.mark.parametrize("total", range(0, 10))
     def test_matches_per_blade_loop(self, total):
         for m in range(total + 1):
             assert graded_tensor_check(m, total - m) == reference_graded_tensor_check(m, total - m)
+
+
+def left_koszul_pair_mul(sig1, sig2, x, y):
+    """A wrong graded product: the Koszul sign (-1)^(|a1||b2|) from the left
+    factor instead of (-1)^(|b1||a2|).  Generators still square to -1 and
+    anticommute under it; only the basis map shows the error."""
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            sign1, a = blade_product(sig1, a1, a2)
+            sign2, b = blade_product(sig2, b1, b2)
+            koszul = -1 if a1.bit_count() & b2.bit_count() & 1 else 1
+            out[a, b] = out.get((a, b), 0) + sign1 * sign2 * koszul * c1 * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def reference_pair_mul(m, n, x, y):
@@ -450,22 +472,17 @@ def reference_graded_tensor_check(m, n):
             for k, v in reference_pair_mul(m, n, image(j), image(i)).items():
                 anti[k] = anti.get(k, Fraction(0)) + v
             relations_ok = relations_ok and not any(anti.values())
-    seen = set()
+    # every blade must reach its closed-form pair +1 (blade & low, blade >> m)
+    low = (1 << m) - 1
     bijective = True
     for blade in range(1 << total):
         acc = {(0, 0): Fraction(1)}
         for i in range(1, total + 1):
             if blade >> (i - 1) & 1:
                 acc = reference_pair_mul(m, n, acc, image(i))
-        if len(acc) != 1:
+        if acc != {(blade & low, blade >> m): 1}:
             bijective = False
             break
-        (key, coeff), = acc.items()
-        if coeff not in (1, -1) or key in seen:
-            bijective = False
-            break
-        seen.add(key)
-    bijective = bijective and len(seen) == 1 << total
     return GradedTensorReport(m, n, 1 << total, relations_ok, bijective)
 
 

@@ -299,6 +299,77 @@ class TestCartanProperty:
         assert sq(k, p * q) == rhs
 
 
+def cartan_bound(k, p):
+    return sum(steenrod._cartan_terms(k, mono) for mono in p.terms)
+
+
+@pytest.fixture
+def uncapped_bound(monkeypatch):
+    """The Cartan bound without its cap; the count caches hold capped
+    values, so they are emptied on both sides."""
+    caches = (steenrod._cartan_terms, steenrod._power_terms)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(steenrod, "MAX_CARTAN_TERMS", 10 ** 30)
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestCartanBound:
+    def test_count_disjoint_against_enumeration(self):
+        for n in range(70):
+            for mask in range(70):
+                expected = sum(1 for t in range(n + 1) if t & mask == 0)
+                assert steenrod._count_disjoint(n, mask) == expected, (n, mask)
+
+    def test_generator_count_is_the_length_of_wu_formula(self):
+        # Wu's formula never cancels: distinct t give distinct products
+        for j in range(2, 41):
+            for i in range(j + 3):
+                expected = len(wu_reference(i, j).terms) if i <= j else 0
+                assert steenrod._power_terms(j, 1, i) == expected, (i, j)
+
+    def test_bound_covers_the_output(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            p = random_polynomial(rng, RING, max_degree=14)
+            p = p * p if rng.random() < 0.3 else p
+            for k in range(0, 16):
+                assert cartan_bound(k, p) >= len(sq(k, p).terms), (k, p)
+
+    def test_bound_recurses_no_deeper_than_the_expansion(self):
+        # one frame per generator, like _sq_code: 399 distinct generators
+        p = w(*range(2, 401))
+        assert cartan_bound(1, p) >= len(sq(1, p).terms) > 0
+
+    def test_large_generators_count_without_a_loop_over_t(self):
+        assert cartan_bound(20000, RING.w(40000)) == 64
+
+    @pytest.mark.parametrize("k, text, bound", [
+        (8, "v40*v2", 731_800),
+        (64, "w200*w300*w500", 305_469),
+        (16, "v40*v2", 15_906_444),
+        (40, "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12", 93_765_599_603),
+    ])
+    def test_pinned_bounds(self, uncapped_bound, k, text, bound):
+        assert cartan_bound(k, parse_polynomial(RING, text)) == bound
+
+    def test_capped_count_saturates(self):
+        p = parse_polynomial(RING, "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12")
+        assert cartan_bound(40, p) == steenrod.MAX_CARTAN_TERMS + 1
+
+    @pytest.mark.parametrize("k, text", [
+        (40, "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12"),
+        (16, "v40*v2"),
+    ])
+    def test_sq_over_the_cap_is_an_error(self, k, text):
+        p = parse_polynomial(RING, text)
+        with pytest.raises(ValueError, match=f"Cartan expansion of Sq\\^{k} may form "
+                                             "more than 1000000 products"):
+            sq(k, p)
+
+
 def bench_oracles():
     """bench/oracles.py, whose total-square Steenrod action on bit-packed
     monomials shares no code with spinhalg.steenrod."""
