@@ -6,10 +6,14 @@ All arithmetic is exact (rationals or F2); nothing here touches floats.
 
 `import spinhalg` loads no submodule: each public name below, and each
 family module, is imported on first use (PEP 562), so a CLI subcommand
-pays only for the family it runs.
+pays only for the family it runs.  The families' immutable value types
+come from `_value_class` below, not from the standard dataclass
+decorator: its module imports `inspect`, and it `exec`s source for each
+class, costs that every short CLI process would pay again.
 """
 
 from importlib import import_module as _import_module
+from operator import attrgetter as _attrgetter
 
 # public name -> submodule that defines it
 _SUBMODULE = {
@@ -94,6 +98,74 @@ def __getattr__(name: str):
     value = getattr(_import_module(f".{_SUBMODULE[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def _value_class(cls=None, /, *, uncompared=()):
+    """Decorate an immutable value type, as `@dataclass(frozen=True)` did.
+
+    The fields are the class's own annotations in order, and a class-level
+    value is a field's default.  The class gets an `__init__` taking the
+    fields by position or keyword that then calls `__post_init__` if the
+    class has one; the dataclass `repr`; `__eq__` between instances of the
+    same class and `__hash__`, both over the fields not named in
+    `uncompared`; and a `__setattr__`/`__delattr__` that raise
+    AttributeError (`__post_init__` normalises through
+    `object.__setattr__`).  Built from closures, with no `exec`.
+    """
+    if cls is None:
+        return lambda cls: _value_class(cls, uncompared=uncompared)
+    fields = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    get = _attrgetter(*(name for name in fields if name not in uncompared))
+    # attrgetter of one name returns the bare value; the hash is always
+    # that of the tuple of compared values
+    key = get if len(fields) - len(uncompared) > 1 else lambda self: (get(self),)
+    post_init = hasattr(cls, "__post_init__")
+    init_name = f"{cls.__qualname__}.__init__()"
+    assign = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(fields):
+            raise TypeError(f"{init_name} takes {len(fields) + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        for name, value in zip(fields, args):
+            assign(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                assign(self, name, kwargs.pop(name))
+            elif name in defaults:
+                assign(self, name, defaults[name])
+            else:
+                raise TypeError(f"{init_name} missing required argument: {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{init_name} got {problem} argument {name!r}")
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
 
 
 def __dir__():

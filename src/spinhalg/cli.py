@@ -11,7 +11,6 @@ message, no traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +27,9 @@ MAX_KTABLE_ENTRIES = 10_000
 
 
 def _json_dump(payload) -> str:
+    # imported here, as the handlers import their families: `--format text`
+    # runs never load json
+    import json
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 

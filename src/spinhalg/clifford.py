@@ -14,10 +14,11 @@ with K one of R, C, H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
+
+from . import _value_class
 
 Rational = Union[int, Fraction]
 
@@ -30,7 +31,7 @@ class SignatureMismatch(ValueError):
 # signatures and blades
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class Signature:
     """Signature (r, s): r generators squaring to -1, then s squaring to +1."""
 
@@ -316,7 +317,7 @@ def volume_square_sign(r: int, s: int) -> int:
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-@dataclass(frozen=True)
+@_value_class
 class AlgebraDescriptor:
     """Normal form K(N) (simple) or K(N)+K(N) (simple=False), K in {R,C,H}."""
 
@@ -460,7 +461,7 @@ def _pair_mul(sig1: Signature, sig2: Signature, x: PairElement, y: PairElement) 
     return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True)
+@_value_class
 class GradedTensorReport:
     m: int
     n: int

@@ -10,11 +10,11 @@ sits inside as the multiples of 1/k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Union
 
+from . import _value_class
 from .modules import _0, _Z, _Z2, AbGroupExpr, ngroup
 
 Rational = Union[int, Fraction]
@@ -39,7 +39,7 @@ class UndeterminedExtension(ValueError):
 # coefficient rings and Q/Z arithmetic
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class CoefficientRing:
     tag: str        # "Z" | "Q" | "Q/Z" | "Zk"
     k: int = 0
@@ -144,7 +144,7 @@ def _group_text(result) -> str:
     return f"extension({result.quot} by {result.sub})"
 
 
-@dataclass(frozen=True)
+@_value_class
 class CoefficientGroup:
     """Universal-coefficient answer: the group when the extension is
     forced, otherwise the two ends with a flag."""
@@ -190,7 +190,7 @@ def k_coefficients(theory: str, n: int, ring: CoefficientRing | str = "Z") -> Ab
 # reduced K-theory of torsion spheres
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class ZkSphereResult:
     theory: str
     m: int
@@ -247,7 +247,7 @@ def zk_sphere_group(theory: str, m: int, k: int, star: int = 0) -> ZkSphereResul
 # mod-k index arithmetic
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class ZkIndexInput:
     """Arithmetic inputs of the mod-k index: the characteristic-class
     integral and the (already k-scaled) boundary eta correction."""
@@ -287,7 +287,7 @@ def zk_index(data: ZkIndexInput) -> int:
 # index classification by dimension residue
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class IndexClassification:
     n: int
     group: AbGroupExpr
@@ -329,7 +329,7 @@ def aind_classify(n: int, genus_value: Rational | None = None,
 # finitely generated abelian groups and double duality
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class FGAbelianGroup:
     """rank + invariant factors n1 | n2 | ... (each dividing the next)."""
 
@@ -386,7 +386,7 @@ class VerificationBoundExceeded(ValueError):
 MAX_DUAL_ORDER = 1000
 
 
-@dataclass(frozen=True)
+@_value_class
 class DualityReport:
     group: FGAbelianGroup
     verified: bool

@@ -12,9 +12,9 @@ ever built.  Everything downstream consumes equivalence-class data only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from . import _value_class
 from .clifford import _FIELD_DIM, _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
@@ -31,7 +31,7 @@ class UnsupportedChange(ValueError):
 _TOKEN_ORDER = {"Q": 0, "Q/Z": 1, "Z": 2}
 
 
-@dataclass(frozen=True)
+@_value_class
 class AbGroupExpr:
     """Direct sum of Z, Q, Q/Z and finite cyclic factors.
 
@@ -174,7 +174,7 @@ def ngroup(n: int, field: str, h: bool = False) -> AbGroupExpr:
     return _KO[(n if field == "R" else n + 4) % 8]
 
 
-@dataclass(frozen=True)
+@_value_class
 class BigradedIndex:
     r: int
     s: int
@@ -196,7 +196,7 @@ def ngroup_bigraded(idx: BigradedIndex) -> AbGroupExpr:
 # module labels and scalar change
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class ModuleLabel:
     """A fundamental Z2-graded module over Cl_n: Delta_n over R, C or H,
     with a sign when the volume element splits it (n = 0 mod 4 over R/H,
@@ -296,7 +296,7 @@ def scalar_change(label: ModuleLabel, functor: ScalarChange) -> ModuleLabel:
 # graded tensor identities
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class GradedProductResult:
     label: ModuleLabel
     multiplicity: int = 1  # trivial R^multiplicity factor
@@ -331,7 +331,7 @@ def graded_product(a: ModuleLabel, b: ModuleLabel) -> GradedProductResult:
 # bimodule decompositions of Cl^h_n
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class BimoduleReport:
     """Cl^h_n written as (left fundamental) (x)_K (right fundamental),
     with a 1/2 multiplicity in the residue-0 case."""

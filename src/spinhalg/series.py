@@ -14,10 +14,11 @@ quaternionic projective pairing table computed three independent ways
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence, Union
+
+from . import _value_class
 
 Rational = Union[int, Fraction]
 
@@ -253,7 +254,7 @@ def _hp_a_hat_classes(max_j: int, trunc: int) -> list[GradedSeries]:
 # closed manifold model
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class ClosedManifoldModel:
     """Integration rule of a quaternionic projective space modelled inside
     the complex projective variable."""
@@ -412,7 +413,7 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
 # Chern character factor of the weak Thom class
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_value_class
 class WeakThomFactor:
     """The non-Thom factor of the weak complex Thom class character for a
     rank-2n bundle: (-1)^n * 2cosh(sqrt(p)/2) * (product of per-root

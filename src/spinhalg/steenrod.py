@@ -17,10 +17,11 @@ the classifying-space cohomologies this package cares about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
 from typing import Iterable
+
+from . import _value_class
 
 # A generator is (index, family): family 0 unprimed, 1 primed.
 # A monomial is a sorted tuple of ((index, family), exponent) pairs.
@@ -61,6 +62,13 @@ MAX_LAYOUT_GENERATORS = 100_000
 # printed nothing within 30 s.
 MAX_CARTAN_TERMS = 1_000_000
 
+# Most distinct generators in one monomial that `sq` takes.  Its Cartan
+# bound and its expansion each recurse once per distinct generator, which
+# is two interpreter frames with the cache wrapper on Python 3.11, so from
+# the CLI a monomial of 494 met the default recursion limit of 1000.  The
+# cap leaves a caller about 200 frames of its own.
+MAX_SQ_GENERATORS = 400
+
 
 class DegreeCapExceeded(ValueError):
     """A linear-algebra request went past the configured degree cap."""
@@ -90,7 +98,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
+@_value_class
 class StiefelWhitneyRing:
     """Z2[w_i | i >= 2] (oriented), with an optional primed family
     truncated at index primed_max for the SO(3) factor."""
@@ -487,6 +495,10 @@ def sq(k: int, p: F2Polynomial) -> F2Polynomial:
     """k-th Steenrod square, extended by Cartan's formula."""
     if k < 0:
         raise ValueError("Steenrod squares are indexed by nonnegative integers")
+    widest = max(map(len, p.terms), default=0)
+    if widest > MAX_SQ_GENERATORS:
+        raise ValueError(f"a monomial has {widest} distinct generators, "
+                         f"over the cap {MAX_SQ_GENERATORS}")
     if sum(map(_cartan_terms, repeat(k), p.terms)) > MAX_CARTAN_TERMS:
         raise ValueError(f"the Cartan expansion of Sq^{k} may form more than "
                          f"{MAX_CARTAN_TERMS} products, over the cap")
@@ -634,14 +646,18 @@ def _echelon(rows: Iterable[int], mask: int) -> tuple[list[int], dict[int, int]]
     return kept, pivots
 
 
-@dataclass
 class _Slice:
-    monomials: list[Monomial]
-    index: dict[Monomial, int]
-    rows: list[int]            # reduced rows, poly bits | certificate bits
-    pivots: dict[int, int]     # pivot bit position -> row number
-    products: list[tuple[Monomial, int]]  # (multiplier, generator number)
-    width: int                 # number of monomial columns
+    """One degree of a GradedIdeal's row-reduced basis."""
+
+    def __init__(self, monomials: list[Monomial], index: dict[Monomial, int],
+                 rows: list[int], pivots: dict[int, int],
+                 products: list[tuple[Monomial, int]], width: int):
+        self.monomials = monomials
+        self.index = index
+        self.rows = rows          # reduced rows, poly bits | certificate bits
+        self.pivots = pivots      # pivot bit position -> row number
+        self.products = products  # (multiplier, generator number)
+        self.width = width        # number of monomial columns
 
 
 class GradedIdeal:
@@ -732,7 +748,7 @@ class GradedIdeal:
         return self.ring.from_monomials(monos)
 
 
-@dataclass(frozen=True)
+@_value_class
 class MembershipCertificate:
     member: bool
     # list of (multiplier monomial, generator index) pairs whose products sum to p
@@ -787,14 +803,14 @@ def free_subalgebra_series(allowed_degrees: Iterable[int], max_degree: int) -> l
     return series
 
 
-@dataclass(frozen=True)
+@_value_class(uncompared=("ideal",))
 class QuotientModel:
     """A quotient of Z2[w2, w3, ...] by Sq1-of-Wu-class relations, paired
     with the free subalgebra predicted to survive."""
 
     kind: str
     max_degree: int
-    ideal: GradedIdeal = field(compare=False)
+    ideal: GradedIdeal
     allowed_degrees: tuple[int, ...] = ()
 
     def poincare_series(self) -> list[int]:

@@ -398,6 +398,27 @@ class TestSteenrodCommands:
         assert proc.stderr == ("error[ValueError]: the Cartan expansion of Sq^40 may "
                                "form more than 1000000 products, over the cap\n")
 
+    def test_monomial_at_the_generator_cap(self, capsys):
+        # Sq^1 w_j = w_(j+1) for even j and 0 for odd j (w_1 = 0), so by
+        # Leibniz Sq^1(w2*...*w401) has one term per even j, w_(j+1) squared
+        gens = range(2, 402)
+        ring = StiefelWhitneyRing()
+        expected = ring.from_monomials(
+            tuple(((i, 0), 2 if i == j + 1 else 1) for i in gens if i != j)
+            for j in gens[::2])
+        code, out, err = run(capsys, "steenrod", "sq", "--k", "1",
+                             "--poly", "*".join(f"w{i}" for i in gens))
+        assert (code, out, err) == (0, f"{expected}\n", "")
+
+    @pytest.mark.parametrize("count", [401, 494])
+    def test_monomial_over_the_generator_cap_is_an_error(self, count):
+        # 494 distinct generators met the recursion limit before the cap
+        poly = "*".join(f"w{i}" for i in range(2, count + 2))
+        proc = run_subprocess("steenrod", "sq", "--k", "1", "--poly", poly, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error[ValueError]: a monomial has {count} distinct "
+                               "generators, over the cap 400\n")
+
     def test_sq_on_a_large_generator(self):
         # Wu's formula Sq^k w_m = sum_t binom(m - k + t - 1, t) w_(k-t) w_(m+t),
         # the parity of binom(M, t) by Kummer: no carry in t + (M - t)

@@ -1,6 +1,7 @@
 """Start-up cost: `import spinhalg` loads no family module, its public names
 are imported on first use, and each CLI subcommand loads only the family it
-runs (plus `cli`)."""
+runs (plus `cli`), and neither `dataclasses` nor `inspect`, nor `json` for
+text output."""
 
 import json
 import os
@@ -78,7 +79,8 @@ def test_unknown_name_is_an_attribute_error():
 CLI = "from spinhalg.cli import main\ncode = main(sys.argv[1:])"
 
 
-@pytest.mark.parametrize("argv, family, code", [
+# one run of each subcommand: its argv, the families it loads, its exit code
+SUBCOMMANDS = [
     (["classify", "--n", "6"], ["clifford"], 0),
     # modules reads its tables from clifford's classification
     (["dims", "--n", "3", "--field", "H"], ["clifford", "modules"], 0),
@@ -95,9 +97,51 @@ CLI = "from spinhalg.cli import main\ncode = main(sys.argv[1:])"
     (["zk-index", "--n", "8", "--k", "3", "--integral", "6"],
      ["clifford", "ktheory", "modules"], 0),
     (["dual", "--torsion", "6"], ["clifford", "ktheory", "modules"], 0),
-])
+]
+
+
+@pytest.mark.parametrize("argv, family, code", SUBCOMMANDS)
 def test_subcommand_loads_only_its_family(argv, family, code):
     proc, loaded = loaded_modules(CLI, *argv)
     assert (proc.returncode, bool(proc.stdout)) == (code, code == 0)
     expected = {"spinhalg", "spinhalg.cli"}
     assert loaded == sorted(expected | {f"spinhalg.{m}" for m in family})
+
+
+# Modules a subcommand does without: `dataclasses` imports `inspect` (and
+# with it ast, dis, tokenize and linecache), and a `--format text` run
+# needs no `json`.
+UNNEEDED = ("dataclasses", "inspect", "json")
+
+
+def unneeded_loaded(body, *argv):
+    """Which of UNNEEDED a fresh interpreter has loaded after the body."""
+    script = f"import sys\n{body}\nprint(*sorted(set({UNNEEDED}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def preloaded():
+    """What the bare interpreter loads under the same flags and
+    environment, say through a site hook; a subcommand is not charged
+    for it."""
+    return unneeded_loaded("pass")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in SUBCOMMANDS])
+def test_subcommand_loads_no_dataclasses_inspect_or_json(argv, preloaded):
+    assert "--format" not in argv
+    assert unneeded_loaded(CLI, *argv) <= preloaded
+
+
+def test_json_output_loads_json():
+    assert "json" in unneeded_loaded(CLI, "dual", "--torsion", "6", "--format", "json")
+
+
+def test_no_source_file_mentions_dataclasses():
+    src = Path(spinhalg.__file__).parent
+    assert [p.name for p in src.rglob("*.py") if "dataclasses" in p.read_text()] == []
