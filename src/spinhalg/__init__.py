@@ -100,6 +100,12 @@ def __getattr__(name: str):
     return value
 
 
+def _is_digits(text: str) -> bool:
+    """A nonempty run of ASCII digits; str.isdigit alone also passes the
+    digits of other scripts, which int() reads as numbers."""
+    return text.isascii() and text.isdigit()
+
+
 def _value_class(cls=None, /, *, uncompared=()):
     """Decorate an immutable value type, as `@dataclass(frozen=True)` did.
 

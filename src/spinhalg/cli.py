@@ -14,6 +14,8 @@ import argparse
 import os
 import sys
 
+from . import _is_digits
+
 
 # Largest --max-i/--max-j and --trunc that `hp-table` accepts.  With the
 # residue method on one core of an Intel Xeon, 60 x 60 takes about 6 s,
@@ -182,8 +184,7 @@ def _ascii_digits(text: str, sep: str = "") -> bool:
     joined by sep, if given): int() and Fraction() alone also read the
     digits of other scripts and underscores."""
     body = text.strip().lstrip("+-")
-    return all(part.isascii() and part.isdigit()
-               for part in (body.split(sep) if sep else [body]))
+    return all(map(_is_digits, body.split(sep) if sep else [body]))
 
 
 def _parse_int(text: str) -> int:
@@ -256,7 +257,7 @@ def _cmd_zk_index(args) -> str:
 
 def _cmd_dual(args) -> str:
     from . import ktheory
-    orders = [_parse_int(x) for x in args.torsion.split(",") if x] if args.torsion else []
+    orders = [_parse_int(x) for x in args.torsion.split(",")] if args.torsion else []
     group = ktheory.FGAbelianGroup.from_summands(args.rank, orders)
     report = ktheory.dual_group(group)
     if args.format == "json":

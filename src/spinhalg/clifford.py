@@ -180,26 +180,10 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, blade: int) -> Fraction:
-        return self.terms.get(blade, Fraction(0))
-
-    def scalar_part(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
-
     def grade_part(self, k: int) -> "CliffordElement":
         return CliffordElement(
             self.signature,
             {b: c for b, c in self.terms.items() if blade_degree(b) == k})
-
-    def even_part(self) -> "CliffordElement":
-        return CliffordElement(
-            self.signature,
-            {b: c for b, c in self.terms.items() if blade_degree(b) % 2 == 0})
-
-    def odd_part(self) -> "CliffordElement":
-        return CliffordElement(
-            self.signature,
-            {b: c for b, c in self.terms.items() if blade_degree(b) % 2 == 1})
 
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed (0 for zero)."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Union
 
-from . import _value_class
+from . import _is_digits, _value_class
 from .modules import _0, _Z, _Z2, AbGroupExpr, ngroup
 
 Rational = Union[int, Fraction]
@@ -57,7 +57,7 @@ class CoefficientRing:
         text = text.strip()
         if text in ("Z", "Q", "Q/Z"):
             return cls(text)
-        if text.startswith("Z") and text[1:].isascii() and text[1:].isdigit():
+        if text.startswith("Z") and _is_digits(text[1:]):
             return cls("Zk", int(text[1:]))
         raise ValueError(f"cannot parse coefficient ring {text!r}")
 
@@ -366,9 +366,6 @@ class FGAbelianGroup:
     def order(self) -> int:
         """Order of the torsion part."""
         return prod(self.torsion)
-
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     def to_expr(self) -> AbGroupExpr:
         return AbGroupExpr(("Z",) * self.rank + self.torsion)

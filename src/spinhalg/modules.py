@@ -11,10 +11,9 @@ ever built.  Everything downstream consumes equivalence-class data only.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 
-from . import _value_class
+from . import _is_digits, _value_class
 from .clifford import _FIELD_DIM, _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
@@ -87,10 +86,9 @@ class AbGroupExpr:
             if chunk in _TOKEN_ORDER:
                 parts.append(chunk)
                 continue
-            m = re.fullmatch(r"Z([0-9]+)", chunk)
-            if not m:
+            if not (chunk.startswith("Z") and _is_digits(chunk[1:])):
                 raise ValueError(f"cannot parse group summand {chunk!r}")
-            parts.append(int(m.group(1)))
+            parts.append(int(chunk[1:]))
         return cls(tuple(parts))
 
     # -- queries --------------------------------------------------------------

@@ -56,13 +56,6 @@ class GradedSeries:
     def one(cls, variable_degree: int, trunc: int) -> "GradedSeries":
         return cls(variable_degree, [1] + [0] * trunc)
 
-    @classmethod
-    def variable(cls, variable_degree: int, trunc: int) -> "GradedSeries":
-        c = [0] * (trunc + 1)
-        if trunc >= 1:
-            c[1] = 1
-        return cls(variable_degree, c)
-
     # -- basics ----------------------------------------------------------------
 
     @property

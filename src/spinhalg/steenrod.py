@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 from typing import Iterable
 
-from . import _value_class
+from . import _is_digits, _value_class
 
 # A generator is (index, family): family 0 unprimed, 1 primed.
 # A monomial is a sorted tuple of ((index, family), exponent) pairs.
@@ -926,12 +926,6 @@ def sq1_homology_oracle(max_degree: int) -> list[int]:
 # --------------------------------------------------------------------------
 # polynomial text grammar (CLI surface): w<i>, v<i>, +, *, ^
 # --------------------------------------------------------------------------
-
-def _is_digits(text: str) -> bool:
-    """A nonempty run of ASCII digits; str.isdigit alone also passes the
-    digits of other scripts, which int() reads as numbers."""
-    return text.isascii() and text.isdigit()
-
 
 def parse_polynomial(ring: StiefelWhitneyRing, text: str) -> F2Polynomial:
     text = text.replace(" ", "")

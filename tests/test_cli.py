@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import spinhalg
 from spinhalg.cli import build_parser, main
-from spinhalg.schemas import SchemaError, load_schema, validate
 from spinhalg.steenrod import StiefelWhitneyRing
+
+from schema_check import SchemaError, load_schema, validate
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -585,6 +586,18 @@ class TestDualCommand:
         assert (code, out) == (1, "")
         assert err == f"error[ValueError]: invalid literal for int() with base 10: {bad!r}\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("torsion", [",", "4,", "4,,6"])
+    def test_empty_item_is_an_error(self, capsys, fmt, torsion):
+        code, out, err = run(capsys, "dual", "--torsion", torsion, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error[ValueError]: invalid literal for int() with base 10: ''\n"
+
+    def test_empty_list_is_no_torsion(self, capsys):
+        assert run(capsys, "dual", "--torsion", "") == (0, "0 -> 0 [verified]\n", "")
+        assert (run(capsys, "dual", "--rank", "2", "--torsion", "")
+                == (0, "Z+Z -> Z+Z [verified]\n", ""))
+
 
 class TestIntegerOptions:
     # argparse's type=int also reads other scripts' digits (U+0663 is
@@ -776,3 +789,10 @@ class TestHarness:
                      load_schema("classify"))
         with pytest.raises(SchemaError):
             validate({"field": "R", "size": 1}, load_schema("classify"))
+
+    @pytest.mark.parametrize("field, value", [("dimension", 8.0), ("n", True)])
+    def test_validator_integer_is_a_json_integer(self, field, value):
+        payload = {"n": 7, "field": "C", "dimension": 32}
+        validate(payload, load_schema("dims"))
+        with pytest.raises(SchemaError):
+            validate({**payload, field: value}, load_schema("dims"))

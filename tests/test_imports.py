@@ -142,6 +142,11 @@ def test_json_output_loads_json():
     assert "json" in unneeded_loaded(CLI, "dual", "--torsion", "6", "--format", "json")
 
 
+def test_package_holds_only_the_cli_and_the_families():
+    src = Path(spinhalg.__file__).parent
+    assert sorted(p.stem for p in src.rglob("*.py")) == sorted(["__init__", "cli", *FAMILIES])
+
+
 def test_no_source_file_mentions_dataclasses():
     src = Path(spinhalg.__file__).parent
     assert [p.name for p in src.rglob("*.py") if "dataclasses" in p.read_text()] == []
