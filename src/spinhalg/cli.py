@@ -18,8 +18,8 @@ from . import _is_digits
 
 
 # Largest --max-i/--max-j and --trunc that `hp-table` accepts.  With the
-# residue method on one core of an Intel Xeon, 60 x 60 takes about 6 s,
-# 60 x 60 at --trunc 120 about 7 s, and 100 x 100 about 40 s.
+# residue method on one core of an Intel Xeon, 60 x 60 takes about 2 s,
+# also at --trunc 120, and 100 x 100 (computed in process) about 10 s.
 MAX_HP_INDEX = 60
 MAX_HP_TRUNC = 120
 

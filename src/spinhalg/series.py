@@ -15,7 +15,8 @@ quaternionic projective pairing table computed three independent ways
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence, Union
 
 from . import _value_class
@@ -208,18 +209,12 @@ def cosh_sqrt_series(trunc: int = DEFAULT_TRUNC // 4) -> GradedSeries:
     return GradedSeries(4, coeffs)
 
 
-def _character_ratio(i: int, inverse_sinh_ratio: GradedSeries) -> GradedSeries:
-    """sinh((i+1)x)/x times the shared x/sinh(x)."""
-    top = inverse_sinh_ratio.trunc
-    return _sinh_series(i + 1, top).scale(i + 1) * inverse_sinh_ratio
-
-
 def character_ratio_series(i: int, trunc: int) -> GradedSeries:
     """sinh((i+1)x)/sinh(x) as an even series in x (the Chern character
     of the weight-i bundle pulled back to the projective-space variable)."""
     if i < 0:
         raise ValueError("bundle index must be nonnegative")
-    return _character_ratio(i, _sinh_series(1, trunc).reciprocal())
+    return _sinh_series(i + 1, trunc).scale(i + 1) * _sinh_series(1, trunc).reciprocal()
 
 
 def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
@@ -227,20 +222,6 @@ def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
     the complex projective variable x: F(x)^(2j+2) / F(2x)."""
     f = a_hat_series(trunc)
     return f ** (2 * j + 2) * f.scale_variable(2).reciprocal()
-
-
-def _hp_a_hat_classes(max_j: int, trunc: int) -> list[GradedSeries]:
-    """hp_a_hat_class(j, trunc) for j = 0..max_j, each power of F one
-    multiplication by F^2 from the last, over the shared 1/F(2x)."""
-    f = a_hat_series(trunc)
-    f_squared = f * f
-    inverse_f2x = _sinh_series(1, trunc)
-    power = f_squared
-    classes = [power * inverse_f2x]
-    for _ in range(max_j):
-        power = power * f_squared
-        classes.append(power * inverse_f2x)
-    return classes
 
 
 # --------------------------------------------------------------------------
@@ -322,17 +303,29 @@ def hp_pairing_binomial(i: int, j: int) -> int:
     return comb(i + j + 1, k)
 
 
-def _residue_entry(i: int, j: int, character: GradedSeries,
-                   a_hat_class: GradedSeries) -> int:
-    """The x^(2j) coefficient of character * a_hat_class, which must be an
-    integer."""
+def _numerators(series: GradedSeries, top: int) -> tuple[int, list[int]]:
+    """Common denominator d of the coefficients of x^0..x^top and their
+    integer numerators over d."""
+    coeffs = series.coeffs[:top + 1]
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _residue_entry(i: int, j: int, row: tuple[int, list[int]],
+                   column: tuple[int, list[int]]) -> int:
+    """The x^(2j) coefficient of ch(E_i) * A-hat(HP^j), which must be an
+    integer.  Since 1/F(2x) = sinh(x)/x, that product is
+    sinh((i+1)x)/x * F^(2j+2): row holds _numerators of the first factor
+    and column those of F^(2j+2), both reaching at least x^(2j)."""
     top = 2 * j
-    value = sum(character.coeffs[k] * a_hat_class.coeffs[top - k]
-                for k in range(top + 1))
-    if value.denominator != 1:
+    (row_d, row_n), (col_d, col_n) = row, column
+    d = row_d * col_d
+    total = sum(map(mul, row_n[:top + 1], col_n[top::-1]))
+    value, remainder = divmod(total, d)
+    if remainder:
         raise NonIntegralCoefficient(
-            f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")
-    return int(value)
+            f"pairing ({i},{j}) extracted {Fraction(total, d)}; series engine is inconsistent")
+    return value
 
 
 def _residue_truncation(max_j: int, trunc: int | None) -> int:
@@ -345,11 +338,15 @@ def _residue_truncation(max_j: int, trunc: int | None) -> int:
 def hp_pairing_residue(i: int, j: int, trunc: int | None = None) -> int:
     """Same pairing computed as the x^(2j) coefficient of
     ch(weight-i bundle) * A-hat(HP^j), all inside the complex projective
-    variable.  The extraction must land on an integer."""
+    variable.  With F(x) = x/(2 sinh(x/2)) the product is
+    [sinh((i+1)x)/sinh(x)] * [F^(2j+2)/F(2x)] = sinh((i+1)x)/x * F^(2j+2),
+    since 1/F(2x) = sinh(x)/x.  The extraction must land on an integer."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     top = _residue_truncation(j, trunc)
-    return _residue_entry(i, j, character_ratio_series(i, top), hp_a_hat_class(j, top))
+    row = _sinh_series(i + 1, top).scale(i + 1)
+    column = a_hat_series(top) ** (2 * j + 2)
+    return _residue_entry(i, j, _numerators(row, 2 * j), _numerators(column, 2 * j))
 
 
 def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
@@ -378,7 +375,10 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
     """Pairing table with rows indexed by the bundle weight i and columns
     by the projective index j.  trunc overrides the automatic series
     truncation of the non-closed-form methods, which build each row's and
-    each column's series once."""
+    each column's series once.  The residue method reads ch(E_i) *
+    A-hat(HP^j) as sinh((i+1)x)/x * F^(2j+2), since 1/F(2x) = sinh(x)/x:
+    a closed-form row, a column one multiplication by F^2 from the last,
+    and each entry one integer dot product."""
     if method not in ("binomial", "residue", "chebyshev"):
         raise ValueError("method must be binomial, residue or chebyshev")
     if max_i < 0 or max_j < 0:
@@ -388,12 +388,17 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
         return [[hp_pairing_binomial(i, j) for j in cols] for i in rows]
     if method == "residue":
         top = _residue_truncation(max_j, trunc)
-        inverse_sinh_ratio = _sinh_series(1, top).reciprocal()
-        a_hat_classes = _hp_a_hat_classes(max_j, top)
+        f = a_hat_series(top)
+        f_squared = f * f
+        power, columns = f_squared, []
+        for j in cols:
+            columns.append(_numerators(power, 2 * j))
+            if j < max_j:
+                power = power * f_squared
         matrix = []
         for i in rows:
-            character = _character_ratio(i, inverse_sinh_ratio)
-            matrix.append([_residue_entry(i, j, character, a_hat_classes[j]) for j in cols])
+            row = _numerators(_sinh_series(i + 1, top).scale(i + 1), 2 * max_j)
+            matrix.append([_residue_entry(i, j, row, columns[j]) for j in cols])
         return matrix
     matrix = []
     for i in rows:

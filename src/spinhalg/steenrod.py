@@ -155,24 +155,37 @@ class StiefelWhitneyRing:
 def _monomial_basis(ring: StiefelWhitneyRing, degree: int) -> tuple[Monomial, ...]:
     if degree < 0:
         return ()
-    gens = sorted(ring.generators_up_to(degree), key=lambda g: (g[1], g[0]))
+    basis = _basis_builder(ring)(degree, 2, 0)
+    if ring.two_family:
+        # the build runs through the primed family after the whole
+        # unprimed one, but a monomial lists its generators by index
+        return tuple(tuple(sorted(m)) for m in basis)
+    return basis
 
-    # Monomials of weight `remaining` in gens[pos:], highest exponent of
-    # gens[pos] first; shared tails are built once.
+
+@lru_cache(maxsize=None)
+def _basis_builder(ring: StiefelWhitneyRing):
+    """The ring's memo of monomials of weight `remaining` in the generators
+    from w_index (primed or not) on, unprimed before primed, highest
+    exponent of w_index first; every degree shares its tails."""
+
     @lru_cache(maxsize=None)
-    def build(remaining: int, pos: int) -> tuple[Monomial, ...]:
+    def build(remaining: int, index: int, primed: int) -> tuple[Monomial, ...]:
         if remaining == 0:
             return (UNIT,)
-        if pos >= len(gens):
-            return ()
-        gen = gens[pos]
+        if index > remaining or (primed and index > ring.primed_max):
+            # no later generator of this family fits
+            if primed or not ring.two_family:
+                return ()
+            return build(remaining, 2, 1)
+        gen = (index, primed)
         out: list[Monomial] = []
-        for e in range(remaining // gen[0], -1, -1):
+        for e in range(remaining // index, -1, -1):
             head = ((gen, e),) if e else UNIT
-            out.extend(head + tail for tail in build(remaining - e * gen[0], pos + 1))
+            out.extend(head + tail for tail in build(remaining - e * index, index + 1, primed))
         return tuple(out)
 
-    return tuple(tuple(sorted(m)) for m in build(degree, 0))
+    return build
 
 
 class F2Polynomial:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,9 @@ from spinhalg.cli import main
 from spinhalg.series import (
     ClosedManifoldModel,
     GradedSeries,
-    _hp_a_hat_classes,
+    NonIntegralCoefficient,
+    _numerators,
+    _residue_entry,
     _sinh_series,
     a_hat_series,
     character_ratio_series,
@@ -219,9 +222,34 @@ class TestPairingMatrixParity:
             for i in range(max_i + 1)]
 
     @pytest.mark.parametrize("top", [0, 7, 24, 31])
-    def test_hoisted_a_hat_classes(self, top):
-        max_j = top // 2
-        assert _hp_a_hat_classes(max_j, top) == [hp_a_hat_class(j, top) for j in range(max_j + 1)]
+    def test_cancellation_identity(self, top):
+        """ch(E_i) * A-hat(HP^j) = sinh((i+1)x)/x * F^(2j+2), the product
+        the residue method reads, since 1/F(2x) = sinh(x)/x."""
+        f = a_hat_series(top)
+        for j in range(top // 2 + 1):
+            a_hat_class, power = hp_a_hat_class(j, top), f ** (2 * j + 2)
+            for i in range(7):
+                assert character_ratio_series(i, top) * a_hat_class == \
+                    _sinh_series(i + 1, top).scale(i + 1) * power, (i, j)
+
+    def test_wrong_power_of_f_is_refused(self):
+        """Entries read against F^(2j+1) in place of F^(2j+2) are proper
+        fractions, and the integrality check names the one it found."""
+        with pytest.raises(NonIntegralCoefficient) as caught:
+            _residue_entry(2, 1, _numerators(_sinh_series(3, 2).scale(3), 2),
+                           _numerators(a_hat_series(2) ** 3, 2))
+        assert str(caught.value) == "pairing (2,1) extracted 33/8; series engine is inconsistent"
+        for j in range(1, 6):
+            f = a_hat_series(2 * j)
+            column = _numerators(f ** (2 * j + 1), 2 * j)
+            for i in range(6):
+                row = _numerators(_sinh_series(i + 1, 2 * j).scale(i + 1), 2 * j)
+                value = (character_ratio_series(i, 2 * j) * f ** (2 * j + 1)
+                         * f.scale_variable(2).reciprocal()).coeff(2 * j)
+                assert value.denominator != 1, (i, j)
+                with pytest.raises(NonIntegralCoefficient, match=re.escape(
+                        f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")):
+                    _residue_entry(i, j, row, column)
 
 
 class TestChebyshevTheta:
