@@ -17,11 +17,11 @@ import sys
 from . import _is_digits
 
 
-# Largest --max-i/--max-j and --trunc that `hp-table` accepts.  With the
-# residue method on one core of an Intel Xeon, 60 x 60 takes about 2 s,
-# also at --trunc 120, and 100 x 100 (computed in process) about 10 s.
+# Largest --max-i/--max-j that `hp-table` accepts.  With the residue
+# method on one core of an Intel Xeon, 60 x 60 takes about 2 s, and
+# 100 x 100 (computed in process) about 10 s.  --trunc needs no cap: no
+# series is built past the table.
 MAX_HP_INDEX = 60
-MAX_HP_TRUNC = 120
 
 # Most degrees one `ktable` call prints (ten million take about a minute
 # and print 111 MB).
@@ -54,8 +54,12 @@ def _cmd_classify(args) -> str:
     from . import clifford
     signature = _signature(args)
     if signature is not None:
+        if args.variant != "Cl":
+            raise ValueError("--variant applies to --n, not to --r/--s")
         desc = clifford.classify_indefinite(*signature, quaternionic=args.quaternionic)
     else:
+        if args.quaternionic:
+            raise ValueError("--quaternionic applies to --r/--s, not to --n")
         desc = clifford.classify(args.n, args.variant)
     if args.format == "json":
         return _json_dump(desc.to_json())
@@ -74,6 +78,9 @@ def _cmd_ngroup(args) -> str:
     from . import modules
     signature = _signature(args)
     if signature is not None:
+        if args.h:
+            # bigraded tables are over R and H only
+            raise ValueError("the h variant only applies to complex scalars")
         idx = modules.BigradedIndex(*signature, args.field)
         group = modules.ngroup_bigraded(idx)
         key = {"r": idx.r, "s": idx.s}
@@ -106,8 +113,6 @@ def _cmd_hp_table(args) -> str:
     for name, value in (("max-i", args.max_i), ("max-j", args.max_j)):
         if value > MAX_HP_INDEX:
             raise ValueError(f"--{name} {value} exceeds the cap {MAX_HP_INDEX}")
-    if args.trunc is not None and args.trunc > MAX_HP_TRUNC:
-        raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_HP_TRUNC}")
     matrix = series.hp_pairing_matrix(args.max_i, args.max_j, args.method,
                                       trunc=args.trunc)
     if args.format == "json":
@@ -214,8 +219,8 @@ def _parse_fraction(text: str):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    if not hi:
+    lo, sep, hi = text.partition("..")
+    if not sep:
         value = _parse_int(lo)
         return value, value
     return _parse_int(lo), _parse_int(hi)

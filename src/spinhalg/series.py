@@ -26,10 +26,6 @@ Rational = Union[int, Fraction]
 DEFAULT_TRUNC = 48
 
 
-class NonIntegralCoefficient(ArithmeticError):
-    """An extraction that must be an integer produced a proper fraction."""
-
-
 class GradedSeries:
     """Polynomial-truncated power series a_0 + a_1 t + ... + a_trunc t^trunc
     where the variable t has a fixed cohomological degree."""
@@ -323,29 +319,23 @@ def _residue_entry(i: int, j: int, row: tuple[int, list[int]],
     total = sum(map(mul, row_n[:top + 1], col_n[top::-1]))
     value, remainder = divmod(total, d)
     if remainder:
-        raise NonIntegralCoefficient(
+        from .ktheory import IntegralityError
+        raise IntegralityError(
             f"pairing ({i},{j}) extracted {Fraction(total, d)}; series engine is inconsistent")
     return value
 
 
-def _residue_truncation(max_j: int, trunc: int | None) -> int:
-    top = 2 * max_j if trunc is None else trunc
-    if top < 2 * max_j:
-        raise ValueError("truncation too small for the requested coefficient")
-    return top
-
-
-def hp_pairing_residue(i: int, j: int, trunc: int | None = None) -> int:
+def hp_pairing_residue(i: int, j: int) -> int:
     """Same pairing computed as the x^(2j) coefficient of
     ch(weight-i bundle) * A-hat(HP^j), all inside the complex projective
     variable.  With F(x) = x/(2 sinh(x/2)) the product is
     [sinh((i+1)x)/sinh(x)] * [F^(2j+2)/F(2x)] = sinh((i+1)x)/x * F^(2j+2),
-    since 1/F(2x) = sinh(x)/x.  The extraction must land on an integer."""
+    since 1/F(2x) = sinh(x)/x.  Both factors are built to x^(2j), the one
+    power read; the extraction must land on an integer."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    top = _residue_truncation(j, trunc)
-    row = _sinh_series(i + 1, top).scale(i + 1)
-    column = a_hat_series(top) ** (2 * j + 2)
+    row = _sinh_series(i + 1, 2 * j).scale(i + 1)
+    column = a_hat_series(2 * j) ** (2 * j + 2)
     return _residue_entry(i, j, _numerators(row, 2 * j), _numerators(column, 2 * j))
 
 
@@ -363,22 +353,18 @@ def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
     return cur
 
 
-def _chebyshev_entry(theta: GradedSeries, j: int) -> int:
-    c = theta.coeff(2 * j)
-    if c.denominator != 1:
-        raise NonIntegralCoefficient(f"theta coefficient {c} not integral")
-    return int(c)
-
-
 def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
                       trunc: int | None = None) -> list[list[int]]:
     """Pairing table with rows indexed by the bundle weight i and columns
-    by the projective index j.  trunc overrides the automatic series
-    truncation of the non-closed-form methods, which build each row's and
-    each column's series once.  The residue method reads ch(E_i) *
-    A-hat(HP^j) as sinh((i+1)x)/x * F^(2j+2), since 1/F(2x) = sinh(x)/x:
-    a closed-form row, a column one multiplication by F^2 from the last,
-    and each entry one integer dot product."""
+    by the projective index j.  The non-closed-form methods build each
+    row's and each column's series once, up to x^(2 max_j), the highest
+    power an entry reads.  An explicit trunc below that power is an error;
+    one above it changes nothing, since no series is built past the table.
+    The residue method reads ch(E_i) * A-hat(HP^j) as
+    sinh((i+1)x)/x * F^(2j+2), since 1/F(2x) = sinh(x)/x: a closed-form
+    row, a column one multiplication by F^2 from the last, and each entry
+    one integer dot product.  The Chebyshev recurrence has integer
+    coefficients, so its entries are read directly."""
     if method not in ("binomial", "residue", "chebyshev"):
         raise ValueError("method must be binomial, residue or chebyshev")
     if max_i < 0 or max_j < 0:
@@ -386,8 +372,10 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
     rows, cols = range(max_i + 1), range(max_j + 1)
     if method == "binomial":
         return [[hp_pairing_binomial(i, j) for j in cols] for i in rows]
+    top = 2 * max_j
     if method == "residue":
-        top = _residue_truncation(max_j, trunc)
+        if trunc is not None and trunc < top:
+            raise ValueError("truncation too small for the requested coefficient")
         f = a_hat_series(top)
         f_squared = f * f
         power, columns = f_squared, []
@@ -397,13 +385,16 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
                 power = power * f_squared
         matrix = []
         for i in rows:
-            row = _numerators(_sinh_series(i + 1, top).scale(i + 1), 2 * max_j)
+            row = _numerators(_sinh_series(i + 1, top).scale(i + 1), top)
             matrix.append([_residue_entry(i, j, row, columns[j]) for j in cols])
         return matrix
+    if trunc is not None:
+        # a row shorter than the table fails on the first power it lacks
+        top = min(trunc, top)
     matrix = []
     for i in rows:
-        theta = chebyshev_theta(i, trunc if trunc is not None else 2 * max(i, max_j))
-        matrix.append([_chebyshev_entry(theta, j) for j in cols])
+        theta = chebyshev_theta(i, top)
+        matrix.append([int(theta.coeff(2 * j)) for j in cols])
     return matrix
 
 

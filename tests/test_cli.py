@@ -75,6 +75,24 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify")
         assert code == 1
 
+    # --variant belongs to --n and --quaternionic to --r/--s; each is
+    # refused with the other form rather than ignored
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "3", "--quaternionic"), "--quaternionic applies to --r/--s, not to --n"),
+        (("--r", "3", "--s", "0", "--variant", "Clh"),
+         "--variant applies to --n, not to --r/--s"),
+        (("--r", "3", "--s", "0", "--variant", "CCl"),
+         "--variant applies to --n, not to --r/--s"),
+    ])
+    def test_flag_of_the_other_form_is_an_error(self, capsys, fmt, argv, message):
+        code, out, err = run(capsys, "classify", *argv, "--format", fmt)
+        assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
+
+    def test_default_variant_with_signature(self, capsys):
+        explicit = run(capsys, "classify", "--r", "3", "--s", "0", "--variant", "Cl")
+        assert explicit == run(capsys, "classify", "--r", "3", "--s", "0") == (0, "H+H\n", "")
+
     @pytest.mark.parametrize("argv", [("--n", "1024", "--variant", "CClh"),
                                       ("--r", "1000", "--s", "24")])
     def test_largest_n_under_the_cap(self, capsys, argv):
@@ -132,6 +150,15 @@ class TestDimsAndNgroup:
         code, out, err = run(capsys, "ngroup", *argv, "--field", "R")
         assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
         assert run(capsys, "classify", *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [("--r", "3", "--s", "0"), ("--n", "3")])
+    def test_ngroup_h_over_the_reals_is_an_error(self, capsys, fmt, argv):
+        # --h asks for complex scalars, which the bigraded (R and H) tables lack
+        code, out, err = run(capsys, "ngroup", *argv, "--field", "R", "--h",
+                             "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "error[ValueError]: the h variant only applies to complex scalars\n")
 
     def test_ngroup_json(self, capsys):
         _, out, _ = run(capsys, "ngroup", "--n", "20", "--field", "R", "--format", "json")
@@ -230,12 +257,19 @@ class TestHpTable:
     @pytest.mark.parametrize("argv, message", [
         (("hp-table", "--max-i", "61", "--max-j", "1"), "--max-i 61 exceeds the cap 60"),
         (("hp-table", "--max-i", "1", "--max-j", "61"), "--max-j 61 exceeds the cap 60"),
-        (("--trunc", "121", "hp-table", "--max-i", "1", "--max-j", "1",
-          "--method", "residue"), "--trunc 121 exceeds the cap 120"),
     ])
     def test_above_the_cap_is_an_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
+
+    @pytest.mark.parametrize("method", ["residue", "chebyshev"])
+    @pytest.mark.parametrize("trunc", ["121", "9" * 40])
+    def test_trunc_past_the_table_prints_the_default_table(self, capsys, method, trunc):
+        # no series is built past x^(2 max_j), so a long --trunc costs nothing
+        table = ("hp-table", "--max-i", "6", "--max-j", "3", "--method", method)
+        code, out, err = run(capsys, "--trunc", trunc, *table)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *table)[1] == run(capsys, *table[:5])[1]
 
     @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
                              ids=lambda case: " ".join(case["argv"]))
@@ -475,6 +509,22 @@ class TestKtableCommand:
         assert (code, out) == (1, "")
         assert err == ("error[ValueError]: range 5..3 is empty: "
                        "the upper end is below the lower\n")
+
+    # a range needs both ends; a bare integer n means n..n
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("text", ["5..", "..5", ".."])
+    def test_range_missing_an_end_is_an_error(self, capsys, fmt, text):
+        code, out, err = run(capsys, "ktable", "--theory", "KO", "--range", text,
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error[ValueError]: invalid literal for int() with base 10: ''\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_single_degree_range(self, capsys, fmt):
+        argv = ("ktable", "--theory", "KO", "--format", fmt)
+        code, out, err = run(capsys, *argv, "--range", "5")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv, "--range", "5..5")[1]
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "ktable", "--theory", "KO", "--coeff", "Z",

@@ -6,10 +6,10 @@ import sympy
 
 from spinhalg import series
 from spinhalg.cli import main
+from spinhalg.ktheory import IntegralityError
 from spinhalg.series import (
     ClosedManifoldModel,
     GradedSeries,
-    NonIntegralCoefficient,
     _numerators,
     _residue_entry,
     _sinh_series,
@@ -215,11 +215,31 @@ class TestPairingMatrixParity:
     @pytest.mark.parametrize("max_i, max_j, trunc", [(6, 12, 25), (12, 5, 17), (3, 9, 30)])
     def test_explicit_truncation(self, max_i, max_j, trunc):
         assert hp_pairing_matrix(max_i, max_j, "residue", trunc) == [
-            [hp_pairing_residue(i, j, trunc) for j in range(max_j + 1)]
+            [hp_pairing_residue(i, j) for j in range(max_j + 1)]
             for i in range(max_i + 1)]
         assert hp_pairing_matrix(max_i, max_j, "chebyshev", trunc) == [
             [chebyshev_theta(i, trunc).coeff(2 * j) for j in range(max_j + 1)]
             for i in range(max_i + 1)]
+
+    @pytest.mark.parametrize("max_i, max_j", [(6, 6), (9, 4)])
+    def test_series_stop_at_the_last_power_read(self, monkeypatch, max_i, max_j):
+        """Every series is built to x^(2 max_j), whatever trunc asks for,
+        on a square table and on a tall one (max_i > max_j)."""
+        built = []
+        for name in ("a_hat_series", "_sinh_series", "chebyshev_theta"):
+            def record(*args, _build=getattr(series, name), _name=name):
+                built.append((_name, args[-1]))
+                return _build(*args)
+            monkeypatch.setattr(series, name, record)
+        expected = hp_pairing_matrix(max_i, max_j, "binomial")
+        for method in ("residue", "chebyshev"):
+            for trunc in (None, 2 * max_j, 120, 10 ** 40):
+                built.clear()
+                assert hp_pairing_matrix(max_i, max_j, method, trunc) == expected
+                assert built and {t for _, t in built} == {2 * max_j}, (method, trunc)
+                assert {n for n, _ in built} == ({"a_hat_series", "_sinh_series"}
+                                                 if method == "residue"
+                                                 else {"chebyshev_theta"})
 
     @pytest.mark.parametrize("top", [0, 7, 24, 31])
     def test_cancellation_identity(self, top):
@@ -235,7 +255,7 @@ class TestPairingMatrixParity:
     def test_wrong_power_of_f_is_refused(self):
         """Entries read against F^(2j+1) in place of F^(2j+2) are proper
         fractions, and the integrality check names the one it found."""
-        with pytest.raises(NonIntegralCoefficient) as caught:
+        with pytest.raises(IntegralityError) as caught:
             _residue_entry(2, 1, _numerators(_sinh_series(3, 2).scale(3), 2),
                            _numerators(a_hat_series(2) ** 3, 2))
         assert str(caught.value) == "pairing (2,1) extracted 33/8; series engine is inconsistent"
@@ -247,7 +267,7 @@ class TestPairingMatrixParity:
                 value = (character_ratio_series(i, 2 * j) * f ** (2 * j + 1)
                          * f.scale_variable(2).reciprocal()).coeff(2 * j)
                 assert value.denominator != 1, (i, j)
-                with pytest.raises(NonIntegralCoefficient, match=re.escape(
+                with pytest.raises(IntegralityError, match=re.escape(
                         f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")):
                     _residue_entry(i, j, row, column)
 
