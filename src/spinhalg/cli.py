@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinhalg",
         description="Exact Clifford/characteristic-class/Steenrod/K-theory computations")
     parser.add_argument("--trunc", type=_int_option, default=None,
-                        help="override series truncation where applicable")
+                        help="series truncation of hp-table --method residue or chebyshev")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="matrix normal form of a Clifford-type algebra")
@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.trunc is not None and (args.command != "hp-table" or args.method == "binomial"):
+            # no other table or subcommand reads a series truncation
+            raise ValueError("--trunc applies to hp-table --method residue or chebyshev")
         output = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         category = type(exc).__name__

@@ -1,8 +1,7 @@
 """Mod-2 polynomial algebra in Stiefel-Whitney generators with the
 Steenrod square action.
 
-The ambient ring is Z2[w2, w3, w4, ...] (oriented: w1 = 0), optionally
-with a second primed family truncated at w3' to model an SO(3) factor.
+The ambient ring is Z2[w2, w3, w4, ...] = H*(BSO; Z2) (oriented: w1 = 0).
 Squares act on generators through Wu's explicit formula
 
     Sq^i(w_j) = sum_t binom(i - j, t) w_{i-t} w_{j+t}   (mod 2)
@@ -23,9 +22,9 @@ from typing import Iterable
 
 from . import _is_digits, _value_class
 
-# A generator is (index, family): family 0 unprimed, 1 primed.
-# A monomial is a sorted tuple of ((index, family), exponent) pairs.
-Gen = tuple[int, int]
+# A generator w_i is its index i.  A monomial is a tuple of
+# (index, exponent) pairs sorted by index, every exponent at least 1.
+Gen = int
 Monomial = tuple[tuple[Gen, int], ...]
 
 UNIT: Monomial = ()
@@ -88,7 +87,7 @@ def binom2(a: int, t: int) -> int:
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(g[0] * e for g, e in mono)
+    return sum(i * e for i, e in mono)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -98,104 +97,60 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-@_value_class
 class StiefelWhitneyRing:
-    """Z2[w_i | i >= 2] (oriented), with an optional primed family
-    truncated at index primed_max for the SO(3) factor."""
+    """Z2[w_i | i >= 2] (oriented).  It carries no state: every instance
+    is the same ring."""
 
-    two_family: bool = False
-    primed_max: int = 3
-
-    def gen(self, index: int, primed: bool = False) -> "F2Polynomial":
-        """The class w_index (or w_index'), with w0 = 1 and w1 = 0."""
+    def w(self, index: int) -> "F2Polynomial":
+        """The class w_index, with w0 = 1 and w1 = 0."""
         if index < 0:
             raise ValueError("generator index must be nonnegative")
-        if primed and not self.two_family:
-            raise ValueError("ring has no primed family")
         if index == 0:
             return self.one()
         if index == 1:
             return self.zero()
-        if primed and index > self.primed_max:
-            return self.zero()
-        return F2Polynomial(self, frozenset({(((index, 1 if primed else 0), 1),)}))
-
-    def w(self, index: int) -> "F2Polynomial":
-        return self.gen(index)
-
-    def wp(self, index: int) -> "F2Polynomial":
-        return self.gen(index, primed=True)
+        return F2Polynomial(frozenset({((index, 1),)}))
 
     def zero(self) -> "F2Polynomial":
-        return F2Polynomial(self, frozenset())
+        return F2Polynomial(frozenset())
 
     def one(self) -> "F2Polynomial":
-        return F2Polynomial(self, frozenset({UNIT}))
+        return F2Polynomial(frozenset({UNIT}))
 
     def from_monomials(self, monomials: Iterable[Monomial]) -> "F2Polynomial":
         acc: set[Monomial] = set()
         for m in monomials:
             acc.symmetric_difference_update({m})
-        return F2Polynomial(self, frozenset(acc))
-
-    # -- monomial bases ------------------------------------------------------
-
-    def generators_up_to(self, degree: int) -> list[Gen]:
-        gens = [(i, 0) for i in range(2, degree + 1)]
-        if self.two_family:
-            gens += [(i, 1) for i in range(2, min(degree, self.primed_max) + 1)]
-        return gens
+        return F2Polynomial(frozenset(acc))
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
         """All monomials of the exact degree, graded-lex ordered."""
-        return list(_monomial_basis(self, degree))
+        return list(_monomial_basis(degree, 2))
 
 
 @lru_cache(maxsize=None)
-def _monomial_basis(ring: StiefelWhitneyRing, degree: int) -> tuple[Monomial, ...]:
-    if degree < 0:
+def _monomial_basis(remaining: int, index: int) -> tuple[Monomial, ...]:
+    """Monomials of weight `remaining` in the generators from w_index on,
+    highest exponent of w_index first; every degree shares its tails."""
+    if remaining == 0:
+        return (UNIT,)
+    if index > remaining:
+        # no later generator fits
         return ()
-    basis = _basis_builder(ring)(degree, 2, 0)
-    if ring.two_family:
-        # the build runs through the primed family after the whole
-        # unprimed one, but a monomial lists its generators by index
-        return tuple(tuple(sorted(m)) for m in basis)
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _basis_builder(ring: StiefelWhitneyRing):
-    """The ring's memo of monomials of weight `remaining` in the generators
-    from w_index (primed or not) on, unprimed before primed, highest
-    exponent of w_index first; every degree shares its tails."""
-
-    @lru_cache(maxsize=None)
-    def build(remaining: int, index: int, primed: int) -> tuple[Monomial, ...]:
-        if remaining == 0:
-            return (UNIT,)
-        if index > remaining or (primed and index > ring.primed_max):
-            # no later generator of this family fits
-            if primed or not ring.two_family:
-                return ()
-            return build(remaining, 2, 1)
-        gen = (index, primed)
-        out: list[Monomial] = []
-        for e in range(remaining // index, -1, -1):
-            head = ((gen, e),) if e else UNIT
-            out.extend(head + tail for tail in build(remaining - e * index, index + 1, primed))
-        return tuple(out)
-
-    return build
+    out: list[Monomial] = []
+    for e in range(remaining // index, -1, -1):
+        head = ((index, e),) if e else UNIT
+        out.extend(head + tail for tail in _monomial_basis(remaining - e * index, index + 1))
+    return tuple(out)
 
 
 class F2Polynomial:
     """F2 linear combination of monomials: a frozenset with symmetric
     difference as addition."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ring: StiefelWhitneyRing, terms: frozenset[Monomial]):
-        object.__setattr__(self, "ring", ring)
+    def __init__(self, terms: frozenset[Monomial]):
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *args):
@@ -212,26 +167,21 @@ class F2Polynomial:
         return len({monomial_degree(m) for m in self.terms}) <= 1
 
     def graded_part(self, degree: int) -> "F2Polynomial":
-        return F2Polynomial(self.ring, frozenset(
-            m for m in self.terms if monomial_degree(m) == degree))
+        return F2Polynomial(frozenset(m for m in self.terms if monomial_degree(m) == degree))
 
     def __add__(self, other: "F2Polynomial") -> "F2Polynomial":
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
-        return F2Polynomial(self.ring, self.terms ^ other.terms)
+        return F2Polynomial(self.terms ^ other.terms)
 
     def __mul__(self, other: "F2Polynomial") -> "F2Polynomial":
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
         acc: set[Monomial] = set()
         for a in self.terms:
             for b in other.terms:
                 acc.symmetric_difference_update({_mono_mul(a, b)})
-        return F2Polynomial(self.ring, frozenset(acc))
+        return F2Polynomial(frozenset(acc))
 
     def __pow__(self, e: int) -> "F2Polynomial":
         """Square and multiply; a nonpositive exponent gives one."""
-        out, base = self.ring.one(), self
+        out, base = F2Polynomial(frozenset({UNIT})), self
         while e > 0:
             if e & 1:
                 out = out * base
@@ -239,33 +189,26 @@ class F2Polynomial:
             if e:
                 # squaring over F2 doubles every exponent, and distinct
                 # monomials have distinct squares, so nothing cancels
-                base = F2Polynomial(self.ring, frozenset(
+                base = F2Polynomial(frozenset(
                     tuple((g, 2 * f) for g, f in m) for m in base.terms))
         return out
 
     def __eq__(self, other):
         if not isinstance(other, F2Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash(self.terms)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        def mono_key(m):
-            return (monomial_degree(m), sorted(m))
         bits = []
-        for m in sorted(self.terms, key=mono_key):
-            if m == UNIT:
-                bits.append("1")
-                continue
-            factors = []
-            for (i, fam), e in sorted(m, key=lambda ge: (ge[0][1], ge[0][0])):
-                name = f"w{i}" + ("'" if fam else "")
-                factors.append(name if e == 1 else f"{name}^{e}")
-            bits.append("*".join(factors))
+        for m in sorted(self.terms, key=lambda m: (monomial_degree(m), m)):
+            # a monomial lists its generators by index, the order printed
+            factors = [f"w{i}" if e == 1 else f"w{i}^{e}" for i, e in m]
+            bits.append("*".join(factors) or "1")
         return "+".join(bits)
 
     __repr__ = __str__
@@ -283,7 +226,7 @@ class F2Polynomial:
 # holds every exponent the call that picks it can reach.
 
 # Every layout holds all generators up to BASE_INDEX, so calls that stay
-# below it share one layout per ring and width, and with it their cache
+# below it share one layout per width, and with it their cache
 # entries; above it a layout holds only the generators its call can reach,
 # so that codes grow with k and not with the generator index.  The base
 # serves wu_classes (up to degree MAX_STEENROD_DEGREE) and sq; the
@@ -308,10 +251,9 @@ class _Layout:
     """Generators in sorted slot order and a field width.  Made only by
     _layout, so equal layouts are one object and hash by identity."""
 
-    __slots__ = ("ring", "gens", "slot", "width", "mask", "decode")
+    __slots__ = ("gens", "slot", "width", "mask", "decode")
 
-    def __init__(self, ring: StiefelWhitneyRing, gens: tuple[Gen, ...], width: int):
-        self.ring = ring
+    def __init__(self, gens: tuple[Gen, ...], width: int):
         self.gens = gens
         self.slot = {g: s for s, g in enumerate(gens)}
         self.width = width
@@ -325,43 +267,37 @@ class _Layout:
     def encode(self, mono: Monomial) -> int:
         return sum(e << self.slot[g] * self.width for g, e in mono)
 
-    def gen_code(self, index: int, family: int) -> int | None:
-        """Code of w_index in the family, None where the class is 0."""
-        if index == 0:
-            return 0
-        if index == 1 or (family and index > self.ring.primed_max):
-            return None
-        return 1 << self.slot[(index, family)] * self.width
+    def gen_code(self, index: int) -> int:
+        """Code of w_index, with w0 = 1."""
+        return 1 << self.slot[index] * self.width if index else 0
 
 
 @lru_cache(maxsize=None)
-def _layout(ring: StiefelWhitneyRing, runs: tuple[tuple[int, int, int], ...],
-            width: int) -> _Layout:
-    high = [(j, family) for family, lo, hi in runs for j in range(lo, hi + 1)]
-    gens = tuple(sorted(ring.generators_up_to(BASE_INDEX) + high))
-    return _Layout(ring, gens, width)
+def _layout(runs: tuple[tuple[int, int], ...], width: int) -> _Layout:
+    # the runs lie above the base in increasing order
+    high = [j for lo, hi in runs for j in range(lo, hi + 1)]
+    return _Layout((*range(2, BASE_INDEX + 1), *high), width)
 
 
-def _pick_layout(ring: StiefelWhitneyRing, spans: Iterable[tuple[int, int, int]],
-                 bound: int) -> _Layout:
+def _pick_layout(spans: Iterable[tuple[int, int]], bound: int) -> _Layout:
     """A layout for a call whose exponents stay at or below bound and whose
-    generators past the base lie in spans, given as (family, lowest index,
-    highest index); their parts above BASE_INDEX, merged into disjoint runs,
-    are the layout's key."""
+    generators past the base lie in spans, given as (lowest index, highest
+    index); their parts above BASE_INDEX, merged into disjoint runs, are
+    the layout's key."""
     runs: list[list[int]] = []
-    for family, lo, hi in sorted(spans):
+    for lo, hi in sorted(spans):
         lo = max(lo, BASE_INDEX + 1)
         if lo > hi:
             continue
-        if runs and runs[-1][0] == family and lo <= runs[-1][2] + 1:
-            runs[-1][2] = max(runs[-1][2], hi)
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], hi)
         else:
-            runs.append([family, lo, hi])
-    count = sum(hi - lo + 1 for _, lo, hi in runs)
+            runs.append([lo, hi])
+    count = sum(hi - lo + 1 for lo, hi in runs)
     if count > MAX_LAYOUT_GENERATORS:
         raise ValueError(f"the call reaches {count} generators past w{BASE_INDEX}, "
                          f"over the cap {MAX_LAYOUT_GENERATORS}")
-    return _layout(ring, tuple(map(tuple, runs)), bound.bit_length())
+    return _layout(tuple(map(tuple, runs)), bound.bit_length())
 
 
 def _xor_sums(acc: set[int], left: Iterable[int], right: Iterable[int]) -> None:
@@ -377,20 +313,17 @@ def _sq_power(layout: _Layout, slot: int, e: int, i: int) -> frozenset[int]:
     part of the total square Sq(g^e) = Sq(g)^e: Frobenius halves an even
     exponent, since Sq^{2j}(x^2) = (Sq^j x)^2 and the odd squares of x^2
     vanish; an odd exponent takes one Cartan step against Wu's formula."""
-    index, family = layout.gens[slot]
+    index = layout.gens[slot]
     if i == 0:
         return frozenset({e << slot * layout.width})
     if i > index * e:
         return frozenset()
     acc: set[int] = set()
     if e == 1:
-        # Wu's formula on the generator itself
+        # Wu's formula on the generator itself; w_1 = 0 drops t = i - 1
         for t in range(0, i + 1):
-            if binom2(i - index, t):
-                left = layout.gen_code(i - t, family)
-                right = layout.gen_code(index + t, family)
-                if left is not None and right is not None:
-                    acc ^= {left + right}
+            if binom2(i - index, t) and t != i - 1:
+                acc ^= {layout.gen_code(i - t) + layout.gen_code(index + t)}
         return frozenset(acc)
     if e % 2 == 0:
         if i % 2:
@@ -413,7 +346,7 @@ def _sq_code(layout: _Layout, k: int, code: int, degree: int) -> frozenset[int]:
         return frozenset()
     slot = ((code & -code).bit_length() - 1) // layout.width
     e = code >> slot * layout.width & layout.mask
-    power_degree = layout.gens[slot][0] * e
+    power_degree = layout.gens[slot] * e
     rest, rest_degree = code - (e << slot * layout.width), degree - power_degree
     acc: set[int] = set()
     for i in range(max(0, k - rest_degree), min(k, power_degree) + 1):
@@ -424,7 +357,7 @@ def _sq_code(layout: _Layout, k: int, code: int, degree: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[Monomial]:
+def _sq_monomial(k: int, mono: Monomial) -> frozenset[Monomial]:
     """Sq^k of one monomial, decoded once for every later caller."""
     degree = monomial_degree(mono)
     if k == 0:
@@ -432,12 +365,11 @@ def _sq_monomial(ring: StiefelWhitneyRing, k: int, mono: Monomial) -> frozenset[
     if k > degree:
         return frozenset()
     # Sq^i(w_j) = sum_t w_{i-t} w_{j+t} reaches indices in [2, k] and
-    # [j, j + k] of w_j's family; every generator has degree >= 2 and Sq
-    # turns each factor into at most two.
-    spans = [(family, lo, min(hi, ring.primed_max) if family else hi)
-             for (index, family), _ in mono for lo, hi in ((2, k), (index, index + k))
+    # [j, j + k]; every generator has degree >= 2 and Sq turns each factor
+    # into at most two.
+    spans = [(lo, hi) for index, _ in mono for lo, hi in ((2, k), (index, index + k))
              if hi > BASE_INDEX]
-    layout = _pick_layout(ring, spans, min((degree + k) // 2, 2 * sum(e for _, e in mono)))
+    layout = _pick_layout(spans, min((degree + k) // 2, 2 * sum(e for _, e in mono)))
     return frozenset(map(layout.decode, _sq_code(layout, k, layout.encode(mono), degree)))
 
 
@@ -490,7 +422,7 @@ def _cartan_terms(k: int, mono: Monomial) -> int:
     degree = monomial_degree(mono)
     if k > degree:
         return 0
-    ((index, _), e), rest = mono[0], mono[1:]
+    (index, e), rest = mono[0], mono[1:]
     power_degree = index * e
     # a plain loop, so that the recursion takes one frame per generator,
     # as _sq_code's does
@@ -517,13 +449,13 @@ def sq(k: int, p: F2Polynomial) -> F2Polynomial:
                          f"{MAX_CARTAN_TERMS} products, over the cap")
     acc: set[Monomial] = set()
     for mono in p.terms:
-        acc.symmetric_difference_update(_sq_monomial(p.ring, k, mono))
-    return F2Polynomial(p.ring, frozenset(acc))
+        acc.symmetric_difference_update(_sq_monomial(k, mono))
+    return F2Polynomial(frozenset(acc))
 
 
 def total_sq(p: F2Polynomial, max_degree: int) -> F2Polynomial:
     """Sum of Sq^k(p) for all k contributing up to max_degree."""
-    out = p.ring.zero()
+    out = F2Polynomial(frozenset())
     for k in range(0, max_degree + 1):
         out = out + sq(k, p)
     return out
@@ -540,17 +472,17 @@ def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     # v_k has degree k: no index passes k and no exponent k // 2
-    layout = _pick_layout(ring, [(0, 2, max_degree)], max_degree // 2)
+    layout = _pick_layout([(2, max_degree)], max_degree // 2)
     nu: list[set[int]] = [{0}]
     for k in range(1, max_degree + 1):
         terms = set()
         if k % 2 == 0:
-            terms.add(layout.gen_code(k, 0))
+            terms.add(layout.gen_code(k))
             for i in range(2, k, 2):
                 for code in nu[k - i]:
                     terms ^= _sq_code(layout, i, code, k - i)
         nu.append(terms)
-    return [F2Polynomial(ring, frozenset(map(layout.decode, terms))) for terms in nu]
+    return [F2Polynomial(frozenset(map(layout.decode, terms))) for terms in nu]
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +551,7 @@ def apply_monomial(mono: SteenrodMonomial, p: F2Polynomial) -> F2Polynomial:
 
 def apply_operation(ops: Iterable[SteenrodMonomial], p: F2Polynomial) -> F2Polynomial:
     """Evaluate an F2 sum of Steenrod monomials."""
-    out = p.ring.zero()
+    out = F2Polynomial(frozenset())
     for mono in ops:
         out = out + apply_monomial(mono, p)
     return out
@@ -687,11 +619,8 @@ class GradedIdeal:
                  degree_cap: int = 24):
         self.ring = ring
         self.generators = [g for g in generators if not g.is_zero()]
-        for g in self.generators:
-            if g.ring != ring:
-                raise ValueError("generator from a different ring")
-            if not g.is_homogeneous():
-                raise ValueError("ideal generators must be homogeneous")
+        if not all(g.is_homogeneous() for g in self.generators):
+            raise ValueError("ideal generators must be homogeneous")
         self.degree_cap = degree_cap
         self._slices: dict[int, _Slice] = {}
 
@@ -864,33 +793,31 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
     # v_k depends only on the lower classes, so the solve stops at the
     # highest class a relation reads
     nu = wu_classes(ring, max((p for _, p in relations), default=0))
-    ideal = GradedIdeal(ring, [nu[p] if d == p else _sq1(nu[p]) for d, p in relations],
+    ideal = GradedIdeal(ring, [nu[p] if d == p else _sq1(ring, nu[p]) for d, p in relations],
                         degree_cap=top)
     killed = {d for d, _ in relations}
     allowed = tuple(d for d in range(2, max_degree + 1) if d not in killed)
     return QuotientModel(kind, max_degree, ideal, allowed)
 
 
-def _sq1_monomial(ring: StiefelWhitneyRing, mono: Monomial) -> list[Monomial]:
+def _sq1_monomial(mono: Monomial) -> list[Monomial]:
     """The terms of Sq^1 of one monomial.  Sq^1 is a derivation, and Wu's
     formula with w_1 = 0 gives Sq^1 w_2j = w_{2j+1}, Sq^1 w_{2j+1} = 0: each
-    odd power of an even-index generator trades one w_2j for w_{2j+1} in
-    its own family, which the primed family holds only up to primed_max.
+    odd power of an even-index generator trades one w_2j for w_{2j+1}.
     Distinct generators give distinct terms, so nothing cancels."""
     out = []
-    for (index, family), e in mono:
-        if index % 2 or e % 2 == 0 or (family and index + 1 > ring.primed_max):
+    for index, e in mono:
+        if index % 2 or e % 2 == 0:
             continue
         image = dict(mono)
-        image[(index, family)] -= 1
-        image[(index + 1, family)] = image.get((index + 1, family), 0) + 1
+        image[index] -= 1
+        image[index + 1] = image.get(index + 1, 0) + 1
         out.append(tuple(sorted((g, f) for g, f in image.items() if f)))
     return out
 
 
-def _sq1(p: F2Polynomial) -> F2Polynomial:
-    return p.ring.from_monomials(
-        image for mono in p.terms for image in _sq1_monomial(p.ring, mono))
+def _sq1(ring: StiefelWhitneyRing, p: F2Polynomial) -> F2Polynomial:
+    return ring.from_monomials(image for mono in p.terms for image in _sq1_monomial(mono))
 
 
 def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> list[int]:
@@ -910,7 +837,7 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
         for i, mono in enumerate(sl.monomials):
             if i not in sl.pivots:
                 bits = 0
-                for image in _sq1_monomial(ideal.ring, mono):
+                for image in _sq1_monomial(mono):
                     bits ^= 1 << target.index[image]
                 rows.append(_reduce_row(bits, target.rows, target.pivots, mask) & mask)
         ranks.append(len(_echelon(rows, mask)[0]))

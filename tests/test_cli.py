@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -278,6 +279,22 @@ class TestHpTable:
         assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
+class TestTruncOption:
+    # only the residue and Chebyshev tables build a series to truncate
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--n", "3"),
+        ("hp-table", "--max-i", "2", "--max-j", "2"),
+        ("hp-table", "--max-i", "2", "--max-j", "2", "--method", "binomial"),
+        ("steenrod", "sq", "--k", "1", "--poly", "w2"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("trunc", ["-7", "-1", "5"])
+    def test_refused_where_nothing_reads_it(self, capsys, trunc, argv, fmt):
+        code, out, err = run(capsys, "--trunc", trunc, *argv, "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "error[ValueError]: --trunc applies to hp-table --method residue or chebyshev\n")
+
+
 class TestSteenrodCommands:
     def test_sq(self, capsys):
         code, out, _ = run(capsys, "steenrod", "sq", "--k", "1", "--poly", "w2")
@@ -333,6 +350,17 @@ class TestSteenrodCommands:
         code, out, _ = run(capsys, "steenrod", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    # the outputs run to megabytes, so the goldens pin the sha256 and byte
+    # length of stdout; the last case is Sq^1 of w2*w3*...*w401.  Run in a
+    # subprocess, so that the caches of the large calls go with it.
+    @pytest.mark.parametrize("case", json.loads((GOLDEN / "steenrod_sq.json").read_text()),
+                             ids=lambda case: " ".join(case["argv"][2:4]))
+    def test_sq_golden_output(self, case):
+        proc = run_subprocess(*case["argv"])
+        out = proc.stdout.encode()
+        assert (proc.returncode, hashlib.sha256(out).hexdigest(), len(out), proc.stderr) == (
+            case["code"], case["stdout_sha256"], case["stdout_bytes"], "")
 
     def test_wu_at_the_degree_cap(self):
         proc = run_subprocess("steenrod", "wu", "--max-degree", "40", timeout=300)
@@ -439,7 +467,7 @@ class TestSteenrodCommands:
         gens = range(2, 402)
         ring = StiefelWhitneyRing()
         expected = ring.from_monomials(
-            tuple(((i, 0), 2 if i == j + 1 else 1) for i in gens if i != j)
+            tuple((i, 2 if i == j + 1 else 1) for i in gens if i != j)
             for j in gens[::2])
         code, out, err = run(capsys, "steenrod", "sq", "--k", "1",
                              "--poly", "*".join(f"w{i}" for i in gens))
