@@ -44,7 +44,6 @@ _SUBMODULE = {
             "scalar_change",
         ),
         "series": (
-            "ClosedManifoldModel",
             "GradedSeries",
             "a_hat_series",
             "chebyshev_theta",
@@ -53,7 +52,6 @@ _SUBMODULE = {
             "hp_pairing_binomial",
             "hp_pairing_matrix",
             "hp_pairing_residue",
-            "weak_thom_chern_character",
         ),
         "steenrod": (
             "F2Polynomial",

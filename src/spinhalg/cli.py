@@ -18,9 +18,9 @@ from . import _is_digits
 
 
 # Largest --max-i/--max-j that `hp-table` accepts.  With the residue
-# method on one core of an Intel Xeon, 60 x 60 takes about 2 s, and
-# 100 x 100 (computed in process) about 10 s.  --trunc needs no cap: no
-# series is built past the table.
+# method on one core of a 2-core Intel Xeon (Python 3.11.7), 60 x 60 takes
+# 1.2-1.4 s / 16 MiB end to end, and 100 x 100 (computed in process)
+# about 8 s.  --trunc needs no cap: no series is built past the table.
 MAX_HP_INDEX = 60
 
 # Most degrees one `ktable` call prints (ten million take about a minute

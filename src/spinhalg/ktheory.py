@@ -71,13 +71,6 @@ def qz(x: Rational) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
-def zk_to_qz(residue: int, k: int) -> Fraction:
-    """Embed Z_k into Q/Z as multiples of 1/k."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return qz(Fraction(residue, k))
-
-
 # --------------------------------------------------------------------------
 # integral coefficient tables (period 8 / 2)
 # --------------------------------------------------------------------------
@@ -301,14 +294,20 @@ class IndexClassification:
 
 def aind_classify(n: int, genus_value: Rational | None = None,
                   harmonic_dim: int | None = None) -> IndexClassification:
-    """Element of the degree-n symplectic coefficient group carried by a
-    closed manifold: genus-valued in residues 0 and 4 mod 8 (halved, and
-    forced even, in residue 0), a harmonic-kernel parity in residues 5
-    and 6, and zero otherwise."""
+    """Element of KSp_n(pt), read through integral_table, carried by a
+    closed manifold: the genus where the group is Z (halved, and forced
+    even, in residue 0 mod 8), the harmonic-kernel parity where it is Z2,
+    and zero otherwise.  An argument the group does not read is refused."""
     residue = n % 8
-    if residue in (0, 4):
-        if genus_value is None:
-            raise ValueError(f"residue {residue}: genus value required")
+    group = integral_table("KSp", n)
+    given = {"genus value": genus_value, "harmonic dimension": harmonic_dim}
+    reads = {_Z: "genus value", _Z2: "harmonic dimension"}.get(group)
+    if reads and given[reads] is None:
+        raise ValueError(f"residue {residue}: {reads} required")
+    for name, value in given.items():
+        if value is not None and name != reads:
+            raise ValueError(f"residue {residue}: KSp_n(pt) = {group} does not read a {name}")
+    if group == _Z:
         g = Fraction(genus_value)
         if g.denominator != 1:
             raise IntegralityError(f"genus value {g} is not an integer")
@@ -316,13 +315,13 @@ def aind_classify(n: int, genus_value: Rational | None = None,
             if g % 2:
                 raise IntegralityError(
                     f"genus value {g} must be even in dimensions 0 mod 8")
-            return IndexClassification(n, _Z, int(g) // 2)
-        return IndexClassification(n, _Z, int(g))
-    if residue in (5, 6):
-        if harmonic_dim is None:
-            raise ValueError(f"residue {residue}: harmonic dimension required")
-        return IndexClassification(n, _Z2, harmonic_dim % 2)
-    return IndexClassification(n, _0, 0)
+            return IndexClassification(n, group, int(g) // 2)
+        return IndexClassification(n, group, int(g))
+    if group == _Z2:
+        if not isinstance(harmonic_dim, int) or harmonic_dim < 0:
+            raise ValueError(f"harmonic dimension {harmonic_dim!r} is not a nonnegative integer")
+        return IndexClassification(n, group, harmonic_dim % 2)
+    return IndexClassification(n, group, 0)
 
 
 # --------------------------------------------------------------------------

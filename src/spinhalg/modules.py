@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from . import _is_digits, _value_class
+from . import _value_class
 from .clifford import _FIELD_DIM, _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
@@ -70,26 +70,6 @@ class AbGroupExpr:
     @classmethod
     def cyclic(cls, m: int) -> "AbGroupExpr":
         return cls((m,))
-
-    @classmethod
-    def of(cls, *parts) -> "AbGroupExpr":
-        return cls(tuple(parts))
-
-    @classmethod
-    def parse(cls, text: str) -> "AbGroupExpr":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        parts = []
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if chunk in _TOKEN_ORDER:
-                parts.append(chunk)
-                continue
-            if not (chunk.startswith("Z") and _is_digits(chunk[1:])):
-                raise ValueError(f"cannot parse group summand {chunk!r}")
-            parts.append(int(chunk[1:]))
-        return cls(tuple(parts))
 
     # -- queries --------------------------------------------------------------
 

@@ -19,8 +19,6 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence, Union
 
-from . import _value_class
-
 Rational = Union[int, Fraction]
 
 DEFAULT_TRUNC = 48
@@ -68,12 +66,6 @@ class GradedSeries:
     def constant(self) -> Fraction:
         return self.coeffs[0]
 
-    def with_trunc(self, trunc: int) -> "GradedSeries":
-        if trunc <= self.trunc:
-            return GradedSeries(self.variable_degree, self.coeffs[:trunc + 1])
-        return GradedSeries(self.variable_degree,
-                            self.coeffs + (Fraction(0),) * (trunc - self.trunc))
-
     def is_even(self) -> bool:
         return all(c == 0 for c in self.coeffs[1::2])
 
@@ -81,7 +73,7 @@ class GradedSeries:
         if self.variable_degree != other.variable_degree:
             raise ValueError("variable degrees differ")
         if self.trunc != other.trunc:
-            raise ValueError("truncations differ; align with with_trunc first")
+            raise ValueError(f"truncations differ: {self.trunc} and {other.trunc}")
 
     # -- ring operations ---------------------------------------------------------
 
@@ -218,35 +210,6 @@ def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
     the complex projective variable x: F(x)^(2j+2) / F(2x)."""
     f = a_hat_series(trunc)
     return f ** (2 * j + 2) * f.scale_variable(2).reciprocal()
-
-
-# --------------------------------------------------------------------------
-# closed manifold model
-# --------------------------------------------------------------------------
-
-@_value_class
-class ClosedManifoldModel:
-    """Integration rule of a quaternionic projective space modelled inside
-    the complex projective variable."""
-
-    name: str
-    dim: int
-    j: int = 0                # projective index
-
-    @classmethod
-    def hp(cls, j: int) -> "ClosedManifoldModel":
-        if j < 0:
-            raise ValueError("projective index must be nonnegative")
-        return cls(name=f"HP{j}", dim=4 * j, j=j)
-
-    def integrate(self, cls_object) -> Fraction:
-        """Pair a total cohomology class against the fundamental class:
-        only the top-degree part contributes."""
-        if not isinstance(cls_object, GradedSeries) or cls_object.variable_degree != 2:
-            raise TypeError("projective integration expects a series in the degree-2 variable")
-        if cls_object.trunc < 2 * self.j:
-            raise ValueError("series truncated below the fundamental-class degree")
-        return cls_object.coeff(2 * self.j)
 
 
 # --------------------------------------------------------------------------
@@ -397,39 +360,3 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
         matrix.append([int(theta.coeff(2 * j)) for j in cols])
     return matrix
 
-
-# --------------------------------------------------------------------------
-# Chern character factor of the weak Thom class
-# --------------------------------------------------------------------------
-
-@_value_class
-class WeakThomFactor:
-    """The non-Thom factor of the weak complex Thom class character for a
-    rank-2n bundle: (-1)^n * 2cosh(sqrt(p)/2) * (product of per-root
-    reciprocal A-hat factors).  Stored as separate commuting factors."""
-
-    half_rank: int
-    sign: int
-    cosh_factor: GradedSeries       # degree-4 variable p (the twist class)
-    a_hat_inverse_root: GradedSeries  # degree-2 single Chern root
-
-    @property
-    def virtual_rank(self) -> int:
-        """Value with all characteristic classes set to zero."""
-        return 2 * self.sign
-
-    def single_root_series(self) -> GradedSeries:
-        """One Chern root x, twist class zero: sign * 2 * A-hat(x)^(-1)."""
-        return self.a_hat_inverse_root.scale(2 * self.sign)
-
-
-def weak_thom_chern_character(half_rank: int, trunc: int = DEFAULT_TRUNC) -> WeakThomFactor:
-    if half_rank < 0:
-        raise ValueError("half rank must be nonnegative")
-    sign = -1 if half_rank % 2 else 1
-    return WeakThomFactor(
-        half_rank=half_rank,
-        sign=sign,
-        cosh_factor=cosh_sqrt_series(max(1, trunc // 4)),
-        a_hat_inverse_root=_sinh_series(Fraction(1, 2), trunc),
-    )

@@ -31,10 +31,10 @@ UNIT: Monomial = ()
 
 # Largest Wu class degree that the CLI computes: `steenrod wu` and
 # `verify-bspinh --max-degree`, and a factor v<k> in a parsed polynomial.
-# The cost grows steeply with the degree: on one core of an Intel Xeon
-# (Python 3.11), `wu_classes` takes about 0.7 s / 69 MiB at 40, 1.7-2.0 s
-# at 44 and 5 s / 406 MiB at 48, and the CLI's `verify-bspinh
-# --max-degree 40` 0.8-2.0 s / 60 MiB (the host's speed varied 2x).
+# The cost grows steeply with the degree: on one core of a 2-core Intel
+# Xeon (Python 3.11.7), `wu_classes` takes 0.4-0.6 s / 68 MiB at 40,
+# 1.1-1.2 s / 160 MiB at 44 and 2.8-2.9 s / 405 MiB at 48, and the CLI's
+# `verify-bspinh --max-degree 40 --format json` 0.51-0.53 s / 54 MiB.
 MAX_STEENROD_DEGREE = 40
 
 # Most monomials a product in a parsed polynomial may reach, bounded before
@@ -451,14 +451,6 @@ def sq(k: int, p: F2Polynomial) -> F2Polynomial:
     for mono in p.terms:
         acc.symmetric_difference_update(_sq_monomial(k, mono))
     return F2Polynomial(frozenset(acc))
-
-
-def total_sq(p: F2Polynomial, max_degree: int) -> F2Polynomial:
-    """Sum of Sq^k(p) for all k contributing up to max_degree."""
-    out = F2Polynomial(frozenset())
-    for k in range(0, max_degree + 1):
-        out = out + sq(k, p)
-    return out
 
 
 def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:

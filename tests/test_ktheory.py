@@ -30,7 +30,6 @@ from spinhalg.ktheory import (
     qz,
     zk_index,
     zk_sphere_group,
-    zk_to_qz,
 )
 from spinhalg.ktheory import DEFAULT_WITNESSES, _element_orders, _forced
 
@@ -59,7 +58,6 @@ class TestCoefficientRing:
         assert qz(F(7, 3)) == F(1, 3)
         assert qz(F(-1, 4)) == F(3, 4)
         assert qz(5) == 0
-        assert zk_to_qz(2, 3) == F(2, 3)
 
 
 KSP_INTEGRAL = ["Z", "0", "0", "0", "Z", "Z2", "Z2", "0"]
@@ -224,7 +222,7 @@ class TestAindClassify:
         assert str(aind_classify(13, harmonic_dim=2).group) == "Z2"
 
     def test_groups_match_ksp(self):
-        for n in range(0, 16):
+        for n in range(-16, 24):
             kwargs = {}
             if n % 8 in (0, 4):
                 kwargs["genus_value"] = 2
@@ -241,6 +239,16 @@ class TestAindClassify:
             aind_classify(0, genus_value=3)  # odd in residue 0
         with pytest.raises(IntegralityError):
             aind_classify(4, genus_value=F(1, 2))
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            aind_classify(5, harmonic_dim=-3)
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            aind_classify(6, harmonic_dim=2.5)
+        with pytest.raises(ValueError, match="does not read"):
+            aind_classify(7, genus_value=3, harmonic_dim=9)
+        with pytest.raises(ValueError, match="does not read a harmonic dimension"):
+            aind_classify(4, genus_value=2, harmonic_dim=0)
+        with pytest.raises(ValueError, match="does not read a genus value"):
+            aind_classify(5, genus_value=2, harmonic_dim=1)
 
 
 class TestFGAbelianGroup:

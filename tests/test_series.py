@@ -8,7 +8,6 @@ from spinhalg import series
 from spinhalg.cli import main
 from spinhalg.ktheory import IntegralityError
 from spinhalg.series import (
-    ClosedManifoldModel,
     GradedSeries,
     _numerators,
     _residue_entry,
@@ -22,7 +21,6 @@ from spinhalg.series import (
     hp_pairing_binomial,
     hp_pairing_matrix,
     hp_pairing_residue,
-    weak_thom_chern_character,
 )
 
 
@@ -51,11 +49,6 @@ class TestGradedSeries:
         assert (t ** 3).coeffs == (1, 3, 3, 1, 0)
         doubled = t.scale_variable(2)
         assert doubled.coeffs == (1, 2, 0, 0, 0)
-
-    def test_with_trunc(self):
-        t = GradedSeries(2, [1, 2, 3])
-        assert t.with_trunc(1).coeffs == (1, 2)
-        assert t.with_trunc(4).coeffs == (1, 2, 3, 0, 0)
 
 
 # Frozen from a symbolic expansion of x/(2 sinh(x/2)):
@@ -310,48 +303,11 @@ class TestSinhSeries:
         for t in range(25):
             assert list(_sinh_series(c, t).coeffs) == expected[:t + 1], t
 
-
-class TestClosedManifoldModel:
-    def test_hp_integration_is_top_coefficient(self):
-        model = ClosedManifoldModel.hp(2)
-        series = GradedSeries(2, [5, 0, 7, 0, F(9, 2)])
-        assert model.integrate(series) == F(9, 2)
-
-    def test_hp_requires_enough_precision(self):
-        with pytest.raises(ValueError):
-            ClosedManifoldModel.hp(3).integrate(GradedSeries(2, [1, 0]))
-
-    def test_type_guards(self):
-        with pytest.raises(TypeError):
-            ClosedManifoldModel.hp(1).integrate(GradedSeries(4, [1, 0, 0]))
-        with pytest.raises(TypeError):
-            ClosedManifoldModel.hp(1).integrate(F(1))
-
-
-class TestWeakThomFactor:
-    def test_virtual_rank_even(self):
-        assert weak_thom_chern_character(2).virtual_rank == 2
-
-    def test_virtual_rank_odd(self):
-        assert weak_thom_chern_character(3).virtual_rank == -2
-
-    def test_single_root_x2_coefficient(self):
-        # sign * 2 * (1 + x^2/24 + ...): x^2 coefficient is 1/12 for even n
-        factor = weak_thom_chern_character(2, trunc=8)
-        assert factor.single_root_series().coeff(2) == F(1, 12)
-        odd = weak_thom_chern_character(1, trunc=8)
-        assert odd.single_root_series().coeff(2) == F(-1, 12)
-
     def test_inverse_root_is_the_reciprocal_of_a_hat(self):
-        # built directly as sinh(x/2)/(x/2), with no reciprocal taken
+        # 1/A-hat of one Chern root, built directly as sinh(x/2)/(x/2)
         for trunc in range(49):
-            root = weak_thom_chern_character(1, trunc).a_hat_inverse_root
+            root = _sinh_series(F(1, 2), trunc)
             assert root == a_hat_series(trunc).reciprocal(), trunc
-
-    def test_factors(self):
-        factor = weak_thom_chern_character(4, trunc=16)
-        assert factor.cosh_factor.constant == 2
-        assert factor.a_hat_inverse_root.coeff(2) == F(1, 24)
 
 
 class TestCharacterRatio:

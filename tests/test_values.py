@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinhalg import clifford, ktheory, modules, series, steenrod
+from spinhalg import clifford, ktheory, modules, steenrod
 
 # one value of each class, with its repr as the dataclass printed it
 VALUES = [
@@ -43,10 +43,6 @@ VALUES = [
      "torsion_candidates=4, torsion_valid=2, evaluation_bijective=True, "
      "orders_match=True, free_witnesses=((Fraction(3, 1), True), (Fraction(1, 2), False), "
      "(Fraction(-7, 1), True), (Fraction(5, 3), False), (Fraction(0, 1), True)))"),
-    (lambda: series.ClosedManifoldModel.hp(2), "ClosedManifoldModel(name='HP2', dim=8, j=2)"),
-    (lambda: series.weak_thom_chern_character(1, trunc=4),
-     "WeakThomFactor(half_rank=1, sign=-1, cosh_factor=GradedSeries(deg=4, [2, 1/4]), "
-     "a_hat_inverse_root=GradedSeries(deg=2, [1, 0, 1/24, 0, 1/1920]))"),
     (lambda: steenrod.MembershipCertificate(True, ((((2, 1),), 0),)),
      "MembershipCertificate(member=True, combination=((((2, 1),), 0),))"),
     (lambda: steenrod.QuotientModel("spinh", 4, None, (4,)),
@@ -65,7 +61,7 @@ def compared(value) -> tuple:
 
 
 def test_one_case_per_class():
-    assert len({text.partition("(")[0] for _, text in VALUES}) == len(VALUES) == 19
+    assert len({text.partition("(")[0] for _, text in VALUES}) == len(VALUES) == 17
 
 
 @pytest.mark.parametrize("make, text", CASES)
