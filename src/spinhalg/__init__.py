@@ -13,6 +13,7 @@ class, costs that every short CLI process would pay again.
 """
 
 from importlib import import_module as _import_module
+from math import lcm as _lcm
 from operator import attrgetter as _attrgetter
 
 # public name -> submodule that defines it
@@ -102,6 +103,13 @@ def _is_digits(text: str) -> bool:
     """A nonempty run of ASCII digits; str.isdigit alone also passes the
     digits of other scripts, which int() reads as numbers."""
     return text.isascii() and text.isdigit()
+
+
+def _numerators(values) -> tuple[int, list[int]]:
+    """Common denominator d of a sequence of Fractions and their integer
+    numerators over d."""
+    d = _lcm(*(c.denominator for c in values))
+    return d, [c.numerator * (d // c.denominator) for c in values]
 
 
 def _value_class(cls=None, /, *, uncompared=()):

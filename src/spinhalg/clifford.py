@@ -15,10 +15,9 @@ with K one of R, C, H.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Union
 
-from . import _value_class
+from . import _numerators, _value_class
 
 Rational = Union[int, Fraction]
 
@@ -105,14 +104,6 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Product of two basis blades: returns (sign, result blade)."""
     odd = (b & _sign_mask(a, (1 << sig.r) - 1)).bit_count() & 1
     return (-1 if odd else 1), a ^ b
-
-
-def _numerators(terms: Mapping[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    """Common denominator d and the (blade, integer numerator over d) pairs."""
-    d = 1
-    for c in terms.values():
-        d = lcm(d, c.denominator)
-    return d, [(b, c.numerator * (d // c.denominator)) for b, c in terms.items()]
 
 
 # --------------------------------------------------------------------------
@@ -219,11 +210,12 @@ class CliffordElement:
         self._check(other)
         sig = self.signature
         neg_mask = (1 << sig.r) - 1
-        da, left = _numerators(self.terms)
-        db, right = _numerators(other.terms)
+        da, left = _numerators(self.terms.values())
+        db, right = _numerators(other.terms.values())
+        right = list(zip(other.terms, right))
         acc: dict[int, int] = {}
         get = acc.get
-        for b1, n1 in left:
+        for b1, n1 in zip(self.terms, left):
             sign_mask = _sign_mask(b1, neg_mask)
             for b2, n2 in right:
                 blade = b1 ^ b2
@@ -430,19 +422,21 @@ def classify_indefinite(r: int, s: int, quaternionic: bool = False) -> AlgebraDe
 # graded tensor decomposition check
 # --------------------------------------------------------------------------
 
-PairElement = dict[tuple[int, int], Rational]
+# Largest m + n that graded_tensor_check accepts: it takes one signed pair
+# product for each of the 2^(m+n) basis blades.
+MAX_TENSOR_TOTAL = 12
 
 
-def _pair_mul(sig1: Signature, sig2: Signature, x: PairElement, y: PairElement) -> PairElement:
-    out: PairElement = {}
-    for (a1, b1), c1 in x.items():
-        for (a2, b2), c2 in y.items():
-            # blade signs in each factor, then the Koszul rule
-            sign1, a = blade_product(sig1, a1, a2)
-            sign2, b = blade_product(sig2, b1, b2)
-            koszul = -1 if b1.bit_count() & a2.bit_count() & 1 else 1
-            out[a, b] = out.get((a, b), 0) + sign1 * sign2 * koszul * c1 * c2
-    return {k: v for k, v in out.items() if v}
+def _pair_product(sig1: Signature, sig2: Signature, x: tuple[int, int, int],
+                  y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Product of signed basis pairs (s, a, b), meaning s * (e_a (x) e_b):
+    the blade signs in each factor, then the Koszul sign (-1)^(|b1||a2|)."""
+    s1, a1, b1 = x
+    s2, a2, b2 = y
+    sign1, a = blade_product(sig1, a1, a2)
+    sign2, b = blade_product(sig2, b1, b2)
+    koszul = -1 if b1.bit_count() & a2.bit_count() & 1 else 1
+    return s1 * s2 * sign1 * sign2 * koszul, a, b
 
 
 @_value_class
@@ -458,43 +452,39 @@ class GradedTensorReport:
         return self.relations_ok and self.basis_bijective
 
 
-def graded_tensor_check(m: int, n: int, max_total: int = 12) -> GradedTensorReport:
+def graded_tensor_check(m: int, n: int) -> GradedTensorReport:
     """Verify Cl_{m+n} = Cl_m (graded tensor) Cl_n on generators and blades.
 
     Sends e_i to e'_i(x)1 for i <= m and to 1(x)e''_{i-m} otherwise, checks
     the Clifford relations under the Koszul product, then checks that every
     basis blade maps to its closed-form image, a bijection onto the
-    2^(m+n) basis pairs.
+    2^(m+n) basis pairs.  Every operand is one signed basis pair.  m + n
+    above MAX_TENSOR_TOTAL raises ValueError.
     """
     if m < 0 or n < 0:
         raise ValueError("m, n must be nonnegative")
-    if m + n > max_total:
-        raise ValueError(f"m+n={m + n} exceeds blade enumeration cap {max_total}")
+    if m + n > MAX_TENSOR_TOTAL:
+        raise ValueError(f"m+n={m + n} exceeds blade enumeration cap {MAX_TENSOR_TOTAL}")
     sig1, sig2 = Signature(m, 0), Signature(n, 0)
     total = m + n
     low = (1 << m) - 1
 
-    def pair(blade: int) -> PairElement:
+    def pair(blade: int) -> tuple[int, int, int]:
         """The closed-form image of the ascending blade: its generators
         <= m come first and pass no odd element of the second factor, so
         the Koszul rule gives +1 (blade & low, blade >> m)."""
-        return {(blade & low, blade >> m): 1}
+        return 1, blade & low, blade >> m
 
-    def image(i: int) -> PairElement:
+    def image(i: int) -> tuple[int, int, int]:
         return pair(1 << (i - 1))
 
-    unit_key = (0, 0)
-    relations_ok = True
-    for i in range(1, total + 1):
-        sq = _pair_mul(sig1, sig2, image(i), image(i))
-        if sq != {unit_key: -1}:
-            relations_ok = False
+    relations_ok = all(_pair_product(sig1, sig2, image(i), image(i)) == (-1, 0, 0)
+                       for i in range(1, total + 1))
     for i in range(1, total + 1):
         for j in range(i + 1, total + 1):
-            anti = _pair_mul(sig1, sig2, image(i), image(j))
-            for k, v in _pair_mul(sig1, sig2, image(j), image(i)).items():
-                anti[k] = anti.get(k, 0) + v
-            if any(anti.values()):
+            ij = _pair_product(sig1, sig2, image(i), image(j))
+            ji = _pair_product(sig1, sig2, image(j), image(i))
+            if ij[1:] != ji[1:] or ij[0] + ji[0]:
                 relations_ok = False
 
     # The image of e_{i1}...e_{ik} (ascending) is the image of the blade
@@ -503,7 +493,7 @@ def graded_tensor_check(m: int, n: int, max_total: int = 12) -> GradedTensorRepo
     bijective = True
     for blade in range(1, 1 << total):
         top = blade.bit_length()
-        if _pair_mul(sig1, sig2, pair(blade ^ (1 << (top - 1))), image(top)) != pair(blade):
+        if _pair_product(sig1, sig2, pair(blade ^ (1 << (top - 1))), image(top)) != pair(blade):
             bijective = False
             break
 

@@ -386,10 +386,8 @@ MAX_DUAL_ORDER = 1000
 class DualityReport:
     group: FGAbelianGroup
     verified: bool
-    torsion_candidates: int      # candidate generator assignments enumerated
-    torsion_valid: int           # how many were genuine homomorphisms
-    evaluation_bijective: bool
-    orders_match: bool
+    torsion_candidates: int      # prod n_i^2 candidate generator assignments
+    torsion_valid: int           # |G| of them are homomorphisms
     free_witnesses: tuple[tuple[Fraction, bool], ...]
 
 
@@ -415,13 +413,15 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
 
     The duality is the identity on isomorphism classes.  For the torsion
     part every homomorphism into Q/Z is liftable (there is nothing to
-    lift), so the verification counts the candidate generator assignments
-    for maps Hom(A, Q/Z) -> Q/Z and compares the element-order statistics
-    of the dual, enumerated row by row, with those of A, counted by the
-    gcd identity of _element_orders.  Finite abelian groups with the same
-    number of elements of each order are isomorphic, so the order
-    comparison decides the isomorphism type.  For free factors the liftable
-    endomorphisms of Q/Z are exactly the integer multiplications;
+    lift).  The candidate generator assignments for maps Hom(A, Q/Z) ->
+    Q/Z number prod n_i^2 and the homomorphisms among them |G|; both are
+    reported by formula, and tests/test_ktheory.py::brute_force_dual_group
+    enumerates them.  The verification compares the element-order
+    statistics of the dual, enumerated row by row, with those of A,
+    counted by the gcd identity of _element_orders.  Finite abelian groups
+    with the same number of elements of each order are isomorphic, so the
+    order comparison decides the isomorphism type.  For free factors the
+    liftable endomorphisms of Q/Z are exactly the integer multiplications;
     free_witnesses reports, for each rational in DEFAULT_WITNESSES,
     whether it is one.
     """
@@ -450,22 +450,18 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
         return [r % denominator for r in row]
 
     # Rows are not kept: each one gives its order and is dropped.  Only the
-    # zero row has order 1, and a -> phi_a is additive, so it is injective
-    # iff exactly one a (namely 0) gives the zero row.
+    # zero row has order 1, and a -> phi_a is additive, so equal order
+    # counts (one order-1 element on each side) also make it injective.
     dual_orders: dict[int, int] = {}
     for a in elements:
         order = denominator // gcd(denominator, *dual_row(a))
         dual_orders[order] = dual_orders.get(order, 0) + 1
-    evaluation_bijective = dual_orders[1] == 1
 
     # double dual: candidate images of each dual generator delta_i are
     # drawn from the (1/n_i^2)-grid.  The candidates of order dividing n_i
     # are t_i = x_i/n_i, and each is evaluation at x, so all are valid.
     candidates = prod(n * n for n in factors)
-    # Equal order counts include the single order-1 row, so they also
-    # cover evaluation_bijective.
-    orders_match = _element_orders(factors) == dual_orders
+    verified = _element_orders(factors) == dual_orders
 
     witness_results = tuple((q, q.denominator == 1) for q in DEFAULT_WITNESSES)
-    return DualityReport(group, orders_match, candidates, len(elements),
-                         evaluation_bijective, orders_match, witness_results)
+    return DualityReport(group, verified, candidates, len(elements), witness_results)

@@ -15,9 +15,11 @@ quaternionic projective pairing table computed three independent ways
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Sequence, Union
+
+from . import _numerators
 
 Rational = Union[int, Fraction]
 
@@ -262,14 +264,6 @@ def hp_pairing_binomial(i: int, j: int) -> int:
     return comb(i + j + 1, k)
 
 
-def _numerators(series: GradedSeries, top: int) -> tuple[int, list[int]]:
-    """Common denominator d of the coefficients of x^0..x^top and their
-    integer numerators over d."""
-    coeffs = series.coeffs[:top + 1]
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
-
-
 def _residue_entry(i: int, j: int, row: tuple[int, list[int]],
                    column: tuple[int, list[int]]) -> int:
     """The x^(2j) coefficient of ch(E_i) * A-hat(HP^j), which must be an
@@ -299,7 +293,7 @@ def hp_pairing_residue(i: int, j: int) -> int:
         raise ValueError("indices must be nonnegative")
     row = _sinh_series(i + 1, 2 * j).scale(i + 1)
     column = a_hat_series(2 * j) ** (2 * j + 2)
-    return _residue_entry(i, j, _numerators(row, 2 * j), _numerators(column, 2 * j))
+    return _residue_entry(i, j, _numerators(row.coeffs), _numerators(column.coeffs))
 
 
 def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
@@ -343,12 +337,12 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
         f_squared = f * f
         power, columns = f_squared, []
         for j in cols:
-            columns.append(_numerators(power, 2 * j))
+            columns.append(_numerators(power.coeffs[:2 * j + 1]))
             if j < max_j:
                 power = power * f_squared
         matrix = []
         for i in rows:
-            row = _numerators(_sinh_series(i + 1, top).scale(i + 1), top)
+            row = _numerators(_sinh_series(i + 1, top).scale(i + 1).coeffs)
             matrix.append([_residue_entry(i, j, row, columns[j]) for j in cols])
         return matrix
     if trunc is not None:

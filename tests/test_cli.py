@@ -671,6 +671,24 @@ class TestDualCommand:
         assert (code, out) == (1, "")
         assert err == "error[ValueError]: invalid literal for int() with base 10: ''\n"
 
+    def test_failed_verdict_is_printed(self, capsys, monkeypatch):
+        from spinhalg import ktheory
+
+        # Z2+Z4 has one element of order 1, three of order 2 and four of
+        # order 4; this multiset has no element of order 4
+        monkeypatch.setattr(ktheory, "_element_orders", lambda factors: {1: 1, 2: 7})
+        report = ktheory.dual_group(ktheory.FGAbelianGroup(0, (2, 4)))
+        assert report.verified is False
+        assert (report.torsion_candidates, report.torsion_valid) == (64, 8)
+        assert run(capsys, "dual", "--torsion", "4,2") == (0, "Z2+Z4 -> Z2+Z4 [FAILED]\n", "")
+        code, out, err = run(capsys, "dual", "--torsion", "4,2", "--format", "json")
+        payload = json.loads(out)
+        validate(payload, load_schema("dual"))
+        assert (code, err) == (0, "")
+        assert payload == {"group": "Z2+Z4", "dual": "Z2+Z4", "verified": False,
+                           "candidates": 64, "valid": 8}
+        assert '"verified": false' in out
+
     def test_empty_list_is_no_torsion(self, capsys):
         assert run(capsys, "dual", "--torsion", "") == (0, "0 -> 0 [verified]\n", "")
         assert (run(capsys, "dual", "--rank", "2", "--torsion", "")

@@ -414,17 +414,23 @@ class TestGradedTensor:
         assert report.passed
         assert report.dimension == 2 ** (m + n)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
+    def test_cap_enforced(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^m\+n=13 exceeds blade enumeration cap 12$"):
             graded_tensor_check(7, 6)
-        assert graded_tensor_check(7, 6, max_total=13).passed
+        monkeypatch.setattr(clifford, "MAX_TENSOR_TOTAL", 13)
+        assert graded_tensor_check(7, 6).passed
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
     def test_wrong_koszul_sign_fails_the_basis_check(self, m, n, monkeypatch):
-        monkeypatch.setattr(clifford, "_pair_mul", left_koszul_pair_mul)
+        monkeypatch.setattr(clifford, "_pair_product", left_koszul_pair_product)
         report = graded_tensor_check(m, n)
         assert report.relations_ok
         assert not report.basis_bijective
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
+    def test_missing_koszul_sign_fails_the_relations(self, m, n, monkeypatch):
+        monkeypatch.setattr(clifford, "_pair_product", plain_pair_product)
+        assert graded_tensor_check(m, n).relations_ok is False
 
     @pytest.mark.parametrize("total", range(0, 10))
     def test_matches_per_blade_loop(self, total):
@@ -432,18 +438,25 @@ class TestGradedTensor:
             assert graded_tensor_check(m, total - m) == reference_graded_tensor_check(m, total - m)
 
 
-def left_koszul_pair_mul(sig1, sig2, x, y):
+def left_koszul_pair_product(sig1, sig2, x, y):
     """A wrong graded product: the Koszul sign (-1)^(|a1||b2|) from the left
     factor instead of (-1)^(|b1||a2|).  Generators still square to -1 and
     anticommute under it; only the basis map shows the error."""
-    out = {}
-    for (a1, b1), c1 in x.items():
-        for (a2, b2), c2 in y.items():
-            sign1, a = blade_product(sig1, a1, a2)
-            sign2, b = blade_product(sig2, b1, b2)
-            koszul = -1 if a1.bit_count() & b2.bit_count() & 1 else 1
-            out[a, b] = out.get((a, b), 0) + sign1 * sign2 * koszul * c1 * c2
-    return {k: v for k, v in out.items() if v}
+    (s1, a1, b1), (s2, a2, b2) = x, y
+    sign1, a = blade_product(sig1, a1, a2)
+    sign2, b = blade_product(sig2, b1, b2)
+    koszul = -1 if a1.bit_count() & b2.bit_count() & 1 else 1
+    return s1 * s2 * sign1 * sign2 * koszul, a, b
+
+
+def plain_pair_product(sig1, sig2, x, y):
+    """The ungraded tensor product, with no Koszul sign: a generator of the
+    first factor commutes with one of the second, so the anticommutation
+    relations fail whenever both factors have one."""
+    (s1, a1, b1), (s2, a2, b2) = x, y
+    sign1, a = blade_product(sig1, a1, a2)
+    sign2, b = blade_product(sig2, b1, b2)
+    return s1 * s2 * sign1 * sign2, a, b
 
 
 def reference_pair_mul(m, n, x, y):

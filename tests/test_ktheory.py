@@ -412,8 +412,7 @@ def brute_force_dual_group(group):
     free_ok = all((q.denominator == 1) == descended for q, descended in witness_results)
     verified = (evaluation_bijective and valid == len(elements)
                 and orders_match and (group.rank == 0 or free_ok))
-    return DualityReport(group, verified, candidates, valid,
-                         evaluation_bijective, orders_match, witness_results)
+    return DualityReport(group, verified, candidates, valid, witness_results)
 
 
 def torsion_lists(max_order):
