@@ -20,7 +20,8 @@ from . import _is_digits
 # Largest --max-i/--max-j that `hp-table` accepts.  With the residue
 # method on one core of a 2-core Intel Xeon (Python 3.11.7), 60 x 60 takes
 # 1.2-1.4 s / 16 MiB end to end, and 100 x 100 (computed in process)
-# about 8 s.  --trunc needs no cap: no series is built past the table.
+# about 8 s.  Series stop at x^(2 max-j), the last power an entry reads,
+# so this cap also bounds how far any series is built.
 MAX_HP_INDEX = 60
 
 # Most degrees one `ktable` call prints (ten million take about a minute
@@ -113,8 +114,7 @@ def _cmd_hp_table(args) -> str:
     for name, value in (("max-i", args.max_i), ("max-j", args.max_j)):
         if value > MAX_HP_INDEX:
             raise ValueError(f"--{name} {value} exceeds the cap {MAX_HP_INDEX}")
-    matrix = series.hp_pairing_matrix(args.max_i, args.max_j, args.method,
-                                      trunc=args.trunc)
+    matrix = series.hp_pairing_matrix(args.max_i, args.max_j, args.method)
     if args.format == "json":
         return _json_dump({"max_i": args.max_i, "max_j": args.max_j,
                            "method": args.method, "rows": "bundle index i",
@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinhalg",
         description="Exact Clifford/characteristic-class/Steenrod/K-theory computations")
-    parser.add_argument("--trunc", type=_int_option, default=None,
-                        help="series truncation of hp-table --method residue or chebyshev")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="matrix normal form of a Clifford-type algebra")
@@ -391,9 +389,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.trunc is not None and (args.command != "hp-table" or args.method == "binomial"):
-            # no other table or subcommand reads a series truncation
-            raise ValueError("--trunc applies to hp-table --method residue or chebyshev")
         output = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         category = type(exc).__name__

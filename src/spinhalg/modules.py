@@ -14,7 +14,6 @@ from __future__ import annotations
 from enum import Enum
 
 from . import _value_class
-from .clifford import _FIELD_DIM, _check_classify_n, classify
 
 FIELDS = ("R", "C", "H")
 
@@ -112,6 +111,7 @@ def fundamental_dimension(n: int, field: str) -> int:
         raise ValueError(f"field must be one of {FIELDS}")
     if n < 1:
         raise ValueError("graded fundamental modules are indexed from n = 1")
+    from .clifford import _check_classify_n
     _check_classify_n(n)
     return 2 * ungraded_irreducible_dimension(n - 1, field)
 
@@ -120,6 +120,7 @@ def ungraded_irreducible_dimension(n: int, field: str) -> int:
     """Real dimension of an irreducible ungraded module over Cl_n
     carrying a compatible field structure, read off the matrix normal
     form.  A graded fundamental module over Cl_{n+1} is twice this."""
+    from .clifford import classify
     variant = {"R": "Cl", "C": "CCl", "H": "Clh"}[field]
     return classify(n, variant).irreducible_real_dimension
 
@@ -329,6 +330,7 @@ def bimodule_decomposition(n: int) -> BimoduleReport:
     respectively, with a 1/2 multiplicity when n = 0 mod 8 (where the
     factors are the complex fundamentals, of real dimension twice the
     complex table entry)."""
+    from .clifford import _FIELD_DIM
     residue = n % 8
     if residue not in (0, 4, 5, 6):
         raise UnsupportedChange("decomposition classified for n = 0,4,5,6 mod 8 only")

@@ -23,8 +23,6 @@ from . import _numerators
 
 Rational = Union[int, Fraction]
 
-DEFAULT_TRUNC = 48
-
 
 class GradedSeries:
     """Polynomial-truncated power series a_0 + a_1 t + ... + a_trunc t^trunc
@@ -182,7 +180,7 @@ def _sinh_series(c: Rational, trunc: int) -> GradedSeries:
     return GradedSeries(2, coeffs)
 
 
-def a_hat_series(trunc: int = DEFAULT_TRUNC) -> GradedSeries:
+def a_hat_series(trunc: int) -> GradedSeries:
     """Single Chern-root A-hat factor x / (2 sinh(x/2)).
 
     Expansion starts 1 - x^2/24 + 7 x^4/5760 - ...
@@ -190,7 +188,7 @@ def a_hat_series(trunc: int = DEFAULT_TRUNC) -> GradedSeries:
     return _sinh_series(Fraction(1, 2), trunc).reciprocal()
 
 
-def cosh_sqrt_series(trunc: int = DEFAULT_TRUNC // 4) -> GradedSeries:
+def cosh_sqrt_series(trunc: int) -> GradedSeries:
     """2 cosh(sqrt(p)/2) as a series in the degree-4 variable p:
     2 * sum p^k / (4^k (2k)!), starting 2 + p/4 + p^2/192 + ...
 
@@ -310,14 +308,12 @@ def chebyshev_theta(i: int, trunc: int | None = None) -> GradedSeries:
     return cur
 
 
-def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
-                      trunc: int | None = None) -> list[list[int]]:
+def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial") -> list[list[int]]:
     """Pairing table with rows indexed by the bundle weight i and columns
     by the projective index j.  The non-closed-form methods build each
     row's and each column's series once, up to x^(2 max_j), the highest
-    power an entry reads.  An explicit trunc below that power is an error;
-    one above it changes nothing, since no series is built past the table.
-    The residue method reads ch(E_i) * A-hat(HP^j) as
+    power an entry reads: the table's size sets every truncation.  The
+    residue method reads ch(E_i) * A-hat(HP^j) as
     sinh((i+1)x)/x * F^(2j+2), since 1/F(2x) = sinh(x)/x: a closed-form
     row, a column one multiplication by F^2 from the last, and each entry
     one integer dot product.  The Chebyshev recurrence has integer
@@ -331,8 +327,6 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
         return [[hp_pairing_binomial(i, j) for j in cols] for i in rows]
     top = 2 * max_j
     if method == "residue":
-        if trunc is not None and trunc < top:
-            raise ValueError("truncation too small for the requested coefficient")
         f = a_hat_series(top)
         f_squared = f * f
         power, columns = f_squared, []
@@ -345,9 +339,6 @@ def hp_pairing_matrix(max_i: int, max_j: int, method: str = "binomial",
             row = _numerators(_sinh_series(i + 1, top).scale(i + 1).coeffs)
             matrix.append([_residue_entry(i, j, row, columns[j]) for j in cols])
         return matrix
-    if trunc is not None:
-        # a row shorter than the table fails on the first power it lacks
-        top = min(trunc, top)
     matrix = []
     for i in rows:
         theta = chebyshev_theta(i, top)

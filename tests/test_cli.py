@@ -217,8 +217,9 @@ class TestHpTable:
             assert json.loads(out2)["matrix"] == payload["matrix"]
 
     def test_trunc_override(self, capsys):
-        code, out, _ = run(capsys, "--trunc", "12", "hp-table", "--max-i", "2",
-                           "--max-j", "2", "--method", "residue")
+        # the table's size sets the series truncation; no option overrides it
+        code, out, _ = run(capsys, "hp-table", "--max-i", "2", "--max-j", "2",
+                           "--method", "residue")
         assert code == 0 and out == "1 0 0\n2 1 0\n3 4 1\n"
 
     @pytest.mark.parametrize("sizes", [("-1", "2"), ("2", "-1")])
@@ -251,9 +252,11 @@ class TestHpTable:
         assert lines[0] == "1" + " 0" * 60 and lines[-1].endswith(" 1")
 
     def test_trunc_at_the_cap(self, capsys):
-        code, out, err = run(capsys, "--trunc", "120", "hp-table", "--max-i", "1",
-                             "--max-j", "1", "--method", "residue")
-        assert (code, out, err) == (0, "1 0\n2 1\n", "")
+        # --max-j at the cap builds the longest series any table reads, to x^120
+        table = ("hp-table", "--max-i", "1", "--max-j", "60")
+        code, out, err = run(capsys, *table, "--method", "residue")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *table)[1]
 
     @pytest.mark.parametrize("argv, message", [
         (("hp-table", "--max-i", "61", "--max-j", "1"), "--max-i 61 exceeds the cap 60"),
@@ -263,15 +266,6 @@ class TestHpTable:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error[ValueError]: {message}\n")
 
-    @pytest.mark.parametrize("method", ["residue", "chebyshev"])
-    @pytest.mark.parametrize("trunc", ["121", "9" * 40])
-    def test_trunc_past_the_table_prints_the_default_table(self, capsys, method, trunc):
-        # no series is built past x^(2 max_j), so a long --trunc costs nothing
-        table = ("hp-table", "--max-i", "6", "--max-j", "3", "--method", method)
-        code, out, err = run(capsys, "--trunc", trunc, *table)
-        assert (code, err) == (0, "")
-        assert out == run(capsys, *table)[1] == run(capsys, *table[:5])[1]
-
     @pytest.mark.parametrize("case", json.loads((GOLDEN / "hp_table.json").read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_golden_output(self, capsys, case):
@@ -280,7 +274,8 @@ class TestHpTable:
 
 
 class TestTruncOption:
-    # only the residue and Chebyshev tables build a series to truncate
+    # every series truncation follows from the table, so no subcommand
+    # takes --trunc, before its name or after it
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("argv", [
         ("classify", "--n", "3"),
@@ -290,9 +285,11 @@ class TestTruncOption:
     ], ids=" ".join)
     @pytest.mark.parametrize("trunc", ["-7", "-1", "5"])
     def test_refused_where_nothing_reads_it(self, capsys, trunc, argv, fmt):
-        code, out, err = run(capsys, "--trunc", trunc, *argv, "--format", fmt)
-        assert (code, out, err) == (
-            1, "", "error[ValueError]: --trunc applies to hp-table --method residue or chebyshev\n")
+        for call in (["--trunc", trunc, *argv, "--format", fmt],
+                     [*argv, "--format", fmt, "--trunc", trunc]):
+            code, out, err = run(capsys, *call)
+            assert (code, out) == (2, ""), call
+            assert err.startswith("usage: spinhalg") and "Traceback" not in err
 
 
 class TestSteenrodCommands:
@@ -708,7 +705,7 @@ class TestIntegerOptions:
         (["genus", "--sig", "1", "--euler", "1_1", "--orientation", "+"], "--euler", "1_1"),
         (["hp-table", "--max-i", "\u0663", "--max-j", "1"], "--max-i", "\u0663"),
         (["hp-table", "--max-i", "1", "--max-j", "\uff14"], "--max-j", "\uff14"),
-        (["--trunc", "1_0", "hp-table", "--max-i", "1", "--max-j", "1"], "--trunc", "1_0"),
+        (["ngroup", "--n", "1_0", "--field", "C"], "--n", "1_0"),
         (["steenrod", "sq", "--k", "\u0661", "--poly", "w2"], "--k", "\u0661"),
         (["steenrod", "wu", "--max-degree", "\u0663"], "--max-degree", "\u0663"),
         (["steenrod", "verify-bspinh", "--max-degree", "1_0"], "--max-degree", "1_0"),
@@ -767,14 +764,13 @@ def subcommand_parsers(parser, prefix=()):
 
 
 def dash_dash_calls():
-    """Every value option of every subcommand, and the global --trunc, given
-    as --opt=-- in an otherwise valid call."""
+    """Every value option of every subcommand, given as --opt=-- in an
+    otherwise valid call."""
     calls = []
     for command, sub in subcommand_parsers(build_parser()):
         for opt in value_options(sub):
             rest = [t for o, v in VALID_CALLS[command].items() if o != opt for t in (o, v)]
             calls.append((opt, [*command, f"{opt}=--", *rest]))
-    calls.append(("--trunc", ["--trunc=--", "classify", "--n", "3"]))
     return calls
 
 
@@ -828,8 +824,7 @@ def fuzz_argv(draw):
     malformed one time in eight, and joined by = half the time."""
     command = draw(st.sampled_from(sorted(VALID_CALLS)))
     parser = dict(subcommand_parsers(build_parser()))[command]
-    argv = [f"--trunc={draw(SMALL | st.sampled_from(MALFORMED))}"] if one_in(draw, 8) else []
-    argv += command
+    argv = list(command)
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue

@@ -42,7 +42,7 @@ def test_first_use_loads_only_its_family():
     _, loaded = loaded_modules("from spinhalg import genus_4manifold")
     assert loaded == ["spinhalg", "spinhalg.series"]
     _, loaded = loaded_modules("import spinhalg\nspinhalg.ktheory.zk_index")
-    assert loaded == ["spinhalg", "spinhalg.clifford", "spinhalg.ktheory", "spinhalg.modules"]
+    assert loaded == ["spinhalg", "spinhalg.ktheory", "spinhalg.modules"]
 
 
 FAMILIES = ["clifford", "modules", "series", "steenrod", "ktheory"]
@@ -82,21 +82,20 @@ CLI = "from spinhalg.cli import main\ncode = main(sys.argv[1:])"
 # one run of each subcommand: its argv, the families it loads, its exit code
 SUBCOMMANDS = [
     (["classify", "--n", "6"], ["clifford"], 0),
-    # modules reads its tables from clifford's classification
+    # module dimensions are read off clifford's classification
     (["dims", "--n", "3", "--field", "H"], ["clifford", "modules"], 0),
-    (["ngroup", "--n", "3", "--field", "R"], ["clifford", "modules"], 0),
+    (["ngroup", "--n", "3", "--field", "R"], ["modules"], 0),
     (["genus", "--sig", "1", "--euler", "3", "--orientation", "+"], ["series"], 0),
     # the parity failure raises ktheory's IntegralityError
     (["genus", "--sig", "1", "--euler", "2", "--orientation", "+"],
-     ["clifford", "ktheory", "modules", "series"], 1),
+     ["ktheory", "modules", "series"], 1),
     (["hp-table", "--max-i", "3", "--max-j", "3"], ["series"], 0),
     (["steenrod", "sq", "--k", "1", "--poly", "w2*w3"], ["steenrod"], 0),
     (["steenrod", "wu", "--max-degree", "4"], ["steenrod"], 0),
     (["steenrod", "verify-bspinh", "--max-degree", "4"], ["steenrod"], 0),
-    (["ktable", "--theory", "KO", "--range", "0..3"], ["clifford", "ktheory", "modules"], 0),
-    (["zk-index", "--n", "8", "--k", "3", "--integral", "6"],
-     ["clifford", "ktheory", "modules"], 0),
-    (["dual", "--torsion", "6"], ["clifford", "ktheory", "modules"], 0),
+    (["ktable", "--theory", "KO", "--range", "0..3"], ["ktheory", "modules"], 0),
+    (["zk-index", "--n", "8", "--k", "3", "--integral", "6"], ["ktheory", "modules"], 0),
+    (["dual", "--torsion", "6"], ["ktheory", "modules"], 0),
 ]
 
 

@@ -90,14 +90,18 @@ NGROUP_R = ["Z2", "Z2", "0", "Z", "0", "0", "0", "Z"]   # n = 1..8
 NGROUP_H = ["0", "0", "0", "Z", "Z2", "Z2", "0", "Z"]   # n = 1..8
 
 
-def restriction_quotient(n, field):
+# the classify variant whose graded modules ngroup counts over each field
+VARIANT = {"R": "Cl", "C": "CCl", "H": "Clh"}
+
+
+def restriction_quotient(n, variant):
     """N_n = M_n / i*M_{n+1} from the classify normal forms alone.
 
     Graded modules over Cl_n are ungraded modules over Cl_{n-1}, and i* is
     restriction from Cl_n to Cl_{n-1}: it sends an irreducible over Cl_n to
     `ratio` irreducibles over Cl_{n-1}, split evenly between the two
-    irreducibles when Cl_{n-1} = K(N)+K(N)."""
-    variant = {"R": "Cl", "C": "CCl", "H": "Clh"}[field]
+    irreducibles when Cl_{n-1} = K(N)+K(N).  The same holds for the
+    variants CCl, Clh and CClh of Cl."""
     source, target = classify(n, variant), classify(n - 1, variant)
     ratio, rest = divmod(source.irreducible_real_dimension,
                          target.irreducible_real_dimension)
@@ -114,7 +118,7 @@ class TestNGroup:
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_matches_the_restriction_quotient(self, field):
         for n in range(1, 65):
-            assert ngroup(n, field) == restriction_quotient(n, field), n
+            assert ngroup(n, field) == restriction_quotient(n, VARIANT[field]), n
 
     def test_table_rows(self):
         assert [str(ngroup(n, "R")) for n in range(1, 9)] == NGROUP_R
@@ -138,7 +142,9 @@ class TestNGroup:
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_h_complex_variant(self, n):
-        assert ngroup(n, "C", h=True) == ngroup(n, "C")
+        # modules over CCl^h_n; one case per last digit covers n = 1..64
+        for m in range(n or 10, 65, 10):
+            assert ngroup(m, "C", h=True) == restriction_quotient(m, "CClh"), m
 
     def test_h_variant_guard(self):
         with pytest.raises(ValueError):

@@ -112,10 +112,10 @@ class TestGenus4Manifold:
     # makes the two paths disagree.
     WRONG_SERIES = {
         # t -> 2t quadruples A-hat_1: -p1/6 instead of -p1/24
-        "a_hat_series": (lambda trunc=48: a_hat_series(trunc).scale_variable(2),
+        "a_hat_series": (lambda trunc: a_hat_series(trunc).scale_variable(2),
                          (1, 3, "+")),
         # halved: ch(twist) = 1 + p1/8 + ...
-        "cosh_sqrt_series": (lambda trunc=12: cosh_sqrt_series(trunc).scale(F(1, 2)),
+        "cosh_sqrt_series": (lambda trunc: cosh_sqrt_series(trunc).scale(F(1, 2)),
                              (0, 2, "+")),
     }
 
@@ -206,17 +206,19 @@ class TestPairingMatrixParity:
 
     @pytest.mark.parametrize("max_i, max_j, trunc", [(6, 12, 25), (12, 5, 17), (3, 9, 30)])
     def test_explicit_truncation(self, max_i, max_j, trunc):
-        assert hp_pairing_matrix(max_i, max_j, "residue", trunc) == [
+        """The table's entries are those of per-entry series, and of
+        Chebyshev rows built to an explicit truncation past 2 max_j."""
+        assert hp_pairing_matrix(max_i, max_j, "residue") == [
             [hp_pairing_residue(i, j) for j in range(max_j + 1)]
             for i in range(max_i + 1)]
-        assert hp_pairing_matrix(max_i, max_j, "chebyshev", trunc) == [
+        assert hp_pairing_matrix(max_i, max_j, "chebyshev") == [
             [chebyshev_theta(i, trunc).coeff(2 * j) for j in range(max_j + 1)]
             for i in range(max_i + 1)]
 
     @pytest.mark.parametrize("max_i, max_j", [(6, 6), (9, 4)])
     def test_series_stop_at_the_last_power_read(self, monkeypatch, max_i, max_j):
-        """Every series is built to x^(2 max_j), whatever trunc asks for,
-        on a square table and on a tall one (max_i > max_j)."""
+        """Every series is built to x^(2 max_j), on a square table and on a
+        tall one (max_i > max_j)."""
         built = []
         for name in ("a_hat_series", "_sinh_series", "chebyshev_theta"):
             def record(*args, _build=getattr(series, name), _name=name):
@@ -225,13 +227,12 @@ class TestPairingMatrixParity:
             monkeypatch.setattr(series, name, record)
         expected = hp_pairing_matrix(max_i, max_j, "binomial")
         for method in ("residue", "chebyshev"):
-            for trunc in (None, 2 * max_j, 120, 10 ** 40):
-                built.clear()
-                assert hp_pairing_matrix(max_i, max_j, method, trunc) == expected
-                assert built and {t for _, t in built} == {2 * max_j}, (method, trunc)
-                assert {n for n, _ in built} == ({"a_hat_series", "_sinh_series"}
-                                                 if method == "residue"
-                                                 else {"chebyshev_theta"})
+            built.clear()
+            assert hp_pairing_matrix(max_i, max_j, method) == expected
+            assert built and {t for _, t in built} == {2 * max_j}, method
+            assert {n for n, _ in built} == ({"a_hat_series", "_sinh_series"}
+                                             if method == "residue"
+                                             else {"chebyshev_theta"})
 
     @pytest.mark.parametrize("top", [0, 7, 24, 31])
     def test_cancellation_identity(self, top):
