@@ -278,13 +278,52 @@ def _cmd_dual(args) -> str:
 # parser
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose help and usage text do not depend on the
+    terminal, and that names every unknown token given before a
+    subcommand.
+
+    argparse wraps help and usage to the terminal's width; every parser
+    here wraps to the width it gives output that is not a terminal (80
+    columns, less 2), so the text is the same in a pipe, a golden file
+    and a terminal.  add_subparsers makes the subcommands _Parsers too.
+    """
+
+    _commands = ()  # the subcommand names, once add_subparsers has run
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("formatter_class",
+                          lambda prog: argparse.HelpFormatter(prog, width=78))
+        super().__init__(**kwargs)
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self._commands = action.choices
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes the first bare token for the subcommand, so the
+        # value of an unknown option before it (`--trunc 10 hp-table`) was
+        # reported as an invalid choice.  A parser with subcommands reads
+        # no option of its own but -h/--help (and "--"), so any other
+        # tokens before the subcommand are unrecognized arguments.
+        args = sys.argv[1:] if args is None else list(args)
+        start = next((i for i, arg in enumerate(args) if arg in self._commands), 0)
+        lead = args[:start]
+        if any(arg.startswith("-h") or "--help".startswith(arg.partition("=")[0])
+               for arg in lead):
+            start, lead = 0, []
+        namespace, extras = super().parse_known_args(args[start:], namespace)
+        return namespace, lead + extras
+
+
 def _add_format(parser, *, tsv=False):
     choices = ["text", "json"] + (["tsv"] if tsv else [])
     parser.add_argument("--format", choices=choices, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinhalg",
         description="Exact Clifford/characteristic-class/Steenrod/K-theory computations")
     sub = parser.add_subparsers(dest="command", required=True)

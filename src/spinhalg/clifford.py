@@ -15,6 +15,7 @@ with K one of R, C, H.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from . import _numerators, _value_class
@@ -113,11 +114,13 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
 class CliffordElement:
     """Rational linear combination of blades in a fixed Cl(r,s).
 
-    Immutable; all arithmetic returns fresh elements and never stores a
-    zero coefficient.
+    Immutable; all arithmetic returns fresh elements.  An element stores
+    one positive denominator and a dict of nonzero integer numerators,
+    one per blade, whose gcd with the denominator is 1, so equal elements
+    store equal data.
     """
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("signature", "_den", "_nums")
 
     def __init__(self, signature: Signature, terms: Mapping[int, Rational] = ()):
         clean: dict[int, Fraction] = {}
@@ -128,8 +131,13 @@ class CliffordElement:
             c = Fraction(coeff)
             if c:
                 clean[blade] = c
+        # over the lcm of reduced denominators the numerators are coprime
+        # to it: a prime's top power in the lcm divides one denominator
+        # exactly, and that numerator is coprime to it
+        den, nums = _numerators(clean.values())
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", dict(zip(clean, nums)))
 
     def __setattr__(self, *args):
         raise AttributeError("CliffordElement is immutable")
@@ -137,11 +145,23 @@ class CliffordElement:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, sig: Signature, terms: dict[int, Fraction]) -> "CliffordElement":
-        """Adopt terms that already hold nonzero Fractions on valid blades."""
+    def _reduced(cls, sig: Signature, den: int, nums: dict[int, int]) -> "CliffordElement":
+        """The element sum nums[b]/den e_b (den > 0, valid blades): drops
+        the zero numerators and divides out the common gcd."""
+        nums = {b: n for b, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {b: n // g for b, n in nums.items()}
+        return cls._adopt(sig, den, nums)
+
+    @classmethod
+    def _adopt(cls, sig: Signature, den: int, nums: dict[int, int]) -> "CliffordElement":
+        """Adopt numerators that are already reduced over den."""
         self = object.__new__(cls)
         object.__setattr__(self, "signature", sig)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
         return self
 
     @classmethod
@@ -163,22 +183,29 @@ class CliffordElement:
 
     # -- helpers -------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The nonzero coefficients as {blade: Fraction}, built afresh on
+        each read: changing the dict leaves the element as it was."""
+        den = self._den
+        return {b: Fraction(n, den) for b, n in self._nums.items()}
+
     def _check(self, other: "CliffordElement"):
         if self.signature != other.signature:
             raise SignatureMismatch(
                 f"cannot combine {self.signature} and {other.signature}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(
-            self.signature,
-            {b: c for b, c in self.terms.items() if blade_degree(b) == k})
+        return CliffordElement._reduced(
+            self.signature, self._den,
+            {b: n for b, n in self._nums.items() if blade_degree(b) == k})
 
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed (0 for zero)."""
-        seen = {blade_degree(b) & 1 for b in self.terms}
+        seen = {blade_degree(b) & 1 for b in self._nums}
         if not seen:
             return 0
         if len(seen) == 1:
@@ -187,22 +214,31 @@ class CliffordElement:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
+    def _combine(self, other: "CliffordElement", sign: int) -> "CliffordElement":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            out[b] = out.get(b, Fraction(0)) + c
-        return CliffordElement(self.signature, out)
+        den = lcm(self._den, other._den)
+        left, right = den // self._den, sign * (den // other._den)
+        out = {b: n * left for b, n in self._nums.items()}
+        for b, n in other._nums.items():
+            out[b] = out.get(b, 0) + n * right
+        return CliffordElement._reduced(self.signature, den, out)
+
+    def __add__(self, other: "CliffordElement") -> "CliffordElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.signature, {b: -c for b, c in self.terms.items()})
+        return CliffordElement._adopt(self.signature, self._den,
+                                      {b: -n for b, n in self._nums.items()})
 
     def scale(self, factor: Rational) -> "CliffordElement":
         f = Fraction(factor)
-        return CliffordElement(self.signature, {b: c * f for b, c in self.terms.items()})
+        return CliffordElement._reduced(
+            self.signature, self._den * f.denominator,
+            {b: n * f.numerator for b, n in self._nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -210,12 +246,10 @@ class CliffordElement:
         self._check(other)
         sig = self.signature
         neg_mask = (1 << sig.r) - 1
-        da, left = _numerators(self.terms.values())
-        db, right = _numerators(other.terms.values())
-        right = list(zip(other.terms, right))
+        right = list(other._nums.items())
         acc: dict[int, int] = {}
         get = acc.get
-        for b1, n1 in zip(self.terms, left):
+        for b1, n1 in self._nums.items():
             sign_mask = _sign_mask(b1, neg_mask)
             for b2, n2 in right:
                 blade = b1 ^ b2
@@ -223,19 +257,7 @@ class CliffordElement:
                     acc[blade] = get(blade, 0) - n1 * n2
                 else:
                     acc[blade] = get(blade, 0) + n1 * n2
-        # One Fraction per distinct value, shared by the blades that carry
-        # it: large products repeat values, and a Fraction object is about
-        # a third of the memory a term takes.
-        d = da * db
-        shared: dict[int, Fraction] = {}
-        terms: dict[int, Fraction] = {}
-        for blade, v in acc.items():
-            if v:
-                c = shared.get(v)
-                if c is None:
-                    c = shared[v] = Fraction(v, d)
-                terms[blade] = c
-        return CliffordElement._wrap(sig, terms)
+        return CliffordElement._reduced(sig, self._den * other._den, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -250,26 +272,26 @@ class CliffordElement:
         modelled here; coefficients are plain rationals.
         """
         out = {}
-        for b, c in self.terms.items():
+        for b, n in self._nums.items():
             k = blade_degree(b)
-            sign = -1 if (k * (k - 1) // 2) & 1 else 1
-            out[b] = sign * c
-        return CliffordElement(self.signature, out)
+            out[b] = -n if (k * (k - 1) // 2) & 1 else n
+        return CliffordElement._adopt(self.signature, self._den, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        return (self.signature == other.signature and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.signature, frozenset(self.terms.items())))
+        return hash((self.signature, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
-        for blade in sorted(self.terms, key=lambda b: (blade_degree(b), b)):
-            c = self.terms[blade]
+        for blade in sorted(self._nums, key=lambda b: (blade_degree(b), b)):
+            c = Fraction(self._nums[blade], self._den)
             name = "1" if blade == 0 else "e" + "e".join(str(i) for i in blade_indices(blade))
             bits.append(f"{c}*{name}" if blade else f"{c}")
         return " + ".join(bits)

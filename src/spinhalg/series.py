@@ -15,7 +15,7 @@ quaternionic projective pairing table computed three independent ways
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 from typing import Sequence, Union
 
@@ -40,6 +40,15 @@ class GradedSeries:
 
     def __setattr__(self, *args):
         raise AttributeError("GradedSeries is immutable")
+
+    @classmethod
+    def _adopt(cls, variable_degree: int, coeffs: list[Fraction]) -> "GradedSeries":
+        """Wrap coefficients that are already Fractions, without the
+        constructor's conversion of each."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variable_degree", variable_degree)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     # -- constructors ---------------------------------------------------------
 
@@ -98,16 +107,20 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        # convolve integer numerators over the product of the common
+        # denominators: one Fraction, and one gcd, per nonzero output
+        # coefficient; the zeros share one Fraction
+        da, a = _numerators(self.coeffs)
+        db, b = _numerators(other.coeffs)
         top = self.trunc
-        out = [Fraction(0)] * (top + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(top + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return GradedSeries(self.variable_degree, out)
+        b.reverse()
+        d = da * db
+        zero = Fraction(0)
+        out = []
+        for k in range(top + 1):
+            n = sum(map(mul, a[:k + 1], b[top - k:]))
+            out.append(Fraction(n, d) if n else zero)
+        return GradedSeries._adopt(self.variable_degree, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,19 +141,29 @@ class GradedSeries:
         return result
 
     def reciprocal(self) -> "GradedSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse; requires an invertible constant term.
+
+        With f = F/D (integer numerators over one denominator) and the
+        inverse so far g = G/E, the next coefficient is
+        -(F_1 G_(k-1) + ... + F_k G_0) / (E F_0).  E grows, and the G
+        are rescaled, only when that coefficient's reduced denominator
+        does not divide it."""
+        d, f = _numerators(self.coeffs)
+        f0 = f[0]
+        if f0 == 0:
             raise ValueError("reciprocal requires a unit constant term")
-        inv = [Fraction(0)] * (self.trunc + 1)
-        inv[0] = 1 / c0
+        c = Fraction(d, f0)
+        inv, g, e = [c], [c.numerator], c.denominator
         for k in range(1, self.trunc + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -acc / c0
-        return GradedSeries(self.variable_degree, inv)
+            c = Fraction(-sum(map(mul, f[1:k + 1], reversed(g))), e * f0)
+            m = c.denominator
+            if e % m:
+                grow = m // gcd(e, m)
+                g = [x * grow for x in g]
+                e *= grow
+            g.append(c.numerator * (e // m))
+            inv.append(c)
+        return GradedSeries._adopt(self.variable_degree, inv)
 
     def scale_variable(self, factor: Rational) -> "GradedSeries":
         """Substitute t -> factor * t."""

@@ -292,6 +292,60 @@ class TestTruncOption:
             assert err.startswith("usage: spinhalg") and "Traceback" not in err
 
 
+class TestTokensBeforeTheSubcommand:
+    # argparse read the value of an unknown option before the subcommand
+    # as the subcommand's name; every such token is named instead
+    def test_option_and_value_are_named(self):
+        top = run_subprocess("--trunc", "10", "hp-table", "--max-i", "2", "--max-j", "2")
+        assert (top.returncode, top.stdout) == (2, "")
+        assert top.stderr.startswith("usage: spinhalg [-h]")
+        assert top.stderr.endswith("\nspinhalg: error: unrecognized arguments: --trunc 10\n")
+        # the same text argparse prints for the option after the subcommand
+        after = run_subprocess("hp-table", "--max-i", "2", "--max-j", "2", "--trunc", "10")
+        assert after.stderr == top.stderr
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--foo", "classify", "--n", "3"], "--foo"),
+        (["--foo", "3", "classify", "--n", "3"], "--foo 3"),
+        (["--foo", "classify", "--n", "3", "--bar"], "--foo --bar"),
+        (["-7", "x", "dims", "--n", "3", "--field", "R"], "-7 x"),
+        (["steenrod", "--foo", "3", "sq", "--k", "1", "--poly", "w2"], "--foo 3"),
+    ])
+    def test_every_token_is_named(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: spinhalg [-h]")
+        assert err.endswith(f"\nspinhalg: error: unrecognized arguments: {named}\n")
+
+    @pytest.mark.parametrize("help_option", ["-h", "--help", "--he"])
+    def test_help_before_the_subcommand_still_prints_help(self, capsys, help_option):
+        code, out, err = run(capsys, "--foo", help_option, "classify", "--n", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: spinhalg [-h]")
+
+
+class TestUsageText:
+    # argparse wraps to the terminal's width; every parser here wraps to
+    # the width output that is not a terminal gets (80 columns)
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--n", "x", "--field", "R"),
+        ("-h",),
+        ("steenrod", "sq", "-h"),
+    ], ids=" ".join)
+    def test_independent_of_columns(self, argv):
+        outputs = []
+        for columns in ("40", "200", None):
+            env = dict(os.environ, PYTHONPATH=str(Path(spinhalg.__file__).parents[1]))
+            env.pop("COLUMNS", None)
+            if columns:
+                env["COLUMNS"] = columns
+            done = subprocess.run([sys.executable, "-m", "spinhalg.cli", *argv], env=env,
+                                  capture_output=True, timeout=60)
+            outputs.append((done.returncode, done.stdout, done.stderr))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1 if argv[-1] == "-h" else 2].startswith(b"usage: spinhalg")
+
+
 class TestSteenrodCommands:
     def test_sq(self, capsys):
         code, out, _ = run(capsys, "steenrod", "sq", "--k", "1", "--poly", "w2")

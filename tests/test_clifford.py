@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,78 @@ class TestProductAgainstReference:
         element = st.dictionaries(st.integers(0, (1 << n) - 1), coeff, max_size=10)
         x, y, z = (CliffordElement(sig, data.draw(element)) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+def assert_reduced(x):
+    """The stored form: a positive denominator, nonzero integer
+    numerators, and gcd 1 across them all."""
+    den, nums = x._den, x._nums
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+class TestStoredNumerators:
+    """An element keeps one denominator and integer numerators in lowest
+    terms, so equal values store equal data whatever built them."""
+
+    def test_every_operation_leaves_lowest_terms(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(0, 5)
+            r = rng.randint(0, n)
+            sig = Signature(r, n - r)
+            x, y = random_element(rng, sig, 6), random_element(rng, sig, 6)
+            results = [x, y, x * y, x + y, x - y, x - x, x.scale(0), x.scale(Fraction(4, 6)),
+                       x.transpose(), -x, *(x.grade_part(k) for k in range(n + 1))]
+            for z in results:
+                assert_reduced(z)
+
+    def test_cancellation_reduces_the_denominator(self):
+        sig = Signature(0, 1)
+        x = CliffordElement(sig, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        y = CliffordElement(sig, {0: Fraction(1, 2), 1: Fraction(-1, 2)})
+        one = CliffordElement.scalar(sig, 1)
+        # x + y = 1, and over R+R, (1 + e1)/2 is an idempotent
+        for z, expected in ((x + y, one), (x * x, x), (x - x, CliffordElement.zero(sig)),
+                            (x.grade_part(0) * 2, one), (x.scale(0), CliffordElement.zero(sig))):
+            assert_reduced(z)
+            assert z == expected and hash(z) == hash(expected)
+            assert (z._den, z._nums) == (expected._den, expected._nums)
+
+    def test_equal_values_from_different_paths(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            sig = Signature(rng.randint(0, 3), rng.randint(0, 3))
+            x, y = random_element(rng, sig, 6), random_element(rng, sig, 6)
+            two = CliffordElement.scalar(sig, 2)
+            paths = [
+                (x + x, x.scale(2)),
+                (x + x, two * x),
+                (x.scale(Fraction(3, 9)).scale(3), x),
+                ((x - y) + y, x),
+                (x - y, x + (-y)),
+                (x * y - x * y, CliffordElement.zero(sig)),
+                (sum((x.grade_part(k) for k in range(sig.n + 1)),
+                     CliffordElement.zero(sig)), x),
+                ((x * y).transpose(), y.transpose() * x.transpose()),
+                (CliffordElement(sig, {b: 2 * c for b, c in x.terms.items()}), x.scale(2)),
+            ]
+            for a, b in paths:
+                assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_terms_is_a_fresh_dict(self):
+        sig = Signature(2, 1)
+        x = CliffordElement(sig, {0: Fraction(1, 2), 0b11: 2, 0b101: Fraction(-3, 4)})
+        before = (hash(x), repr(x), x.terms)
+        view = x.terms
+        assert view is not x.terms
+        assert all(type(c) is Fraction for c in view.values())
+        view[0] = Fraction(5)
+        view[0b111] = 1
+        del view[0b11]
+        assert (hash(x), repr(x), x.terms) == before
+        assert x == CliffordElement(sig, {0: Fraction(1, 2), 0b11: 2, 0b101: Fraction(-3, 4)})
 
 
 class TestTranspose:

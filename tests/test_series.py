@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction as F
 
@@ -48,6 +49,81 @@ class TestGradedSeries:
         assert (t ** 3).coeffs == (1, 3, 3, 1, 0)
         doubled = t.scale_variable(2)
         assert doubled.coeffs == (1, 2, 0, 0, 0)
+
+
+def fraction_mul(a, b):
+    """The Fraction-per-term product that the integer kernel replaced."""
+    top = a.trunc
+    out = [F(0)] * (top + 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j in range(top + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def fraction_reciprocal(a):
+    """The Fraction-per-term inverse that the integer kernel replaced."""
+    c0 = a.coeffs[0]
+    inv = [F(0)] * (a.trunc + 1)
+    inv[0] = 1 / c0
+    for k in range(1, a.trunc + 1):
+        acc = F(0)
+        for i in range(1, k + 1):
+            if a.coeffs[i]:
+                acc += a.coeffs[i] * inv[k - i]
+        inv[k] = -acc / c0
+    return inv
+
+
+def seeded_series(rng, trunc, constant):
+    """A series with the given constant term and, past it, a third zeros
+    and the rest signed fractions with denominators up to 60."""
+    rest = [rng.choice([0, F(rng.randint(-40, 40), rng.randint(1, 60)),
+                        F(rng.randint(-40, 40), rng.randint(1, 60))])
+            for _ in range(trunc)]
+    return GradedSeries(2, [constant, *rest])
+
+
+# constant terms: one, minus one, and values that are not units of Z
+CONSTANTS = [F(1), F(-1), F(3), F(-2, 7), F(5, 12)]
+
+
+class TestIntegerKernels:
+    """Products and inverses on integer numerators over common
+    denominators equal the Fraction-per-term reference coefficient by
+    coefficient, and every coefficient is a Fraction."""
+
+    @pytest.mark.parametrize("trunc", range(65))
+    def test_product_matches_reference(self, trunc):
+        rng = random.Random(f"mul:{trunc}")
+        for constant in CONSTANTS:
+            a = seeded_series(rng, trunc, constant)
+            b = seeded_series(rng, trunc, rng.choice(CONSTANTS + [F(0)]))
+            for x, y in ((a, b), (b, a), (a, a)):
+                got = (x * y).coeffs
+                assert list(got) == fraction_mul(x, y)
+                assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("trunc", range(65))
+    def test_reciprocal_matches_reference(self, trunc):
+        rng = random.Random(f"reciprocal:{trunc}")
+        for constant in CONSTANTS:
+            a = seeded_series(rng, trunc, constant)
+            inverse = a.reciprocal()
+            assert list(inverse.coeffs) == fraction_reciprocal(a)
+            assert all(type(c) is F for c in inverse.coeffs)
+            assert a * inverse == GradedSeries.one(2, trunc)
+
+    def test_integer_series_keep_fraction_coefficients(self):
+        a = GradedSeries(2, [2, -1, 0, 3])
+        for got in ((a * a).coeffs, a.reciprocal().coeffs, (a ** -2).coeffs):
+            assert all(type(c) is F for c in got)
+        assert (a * a).coeffs == (4, -4, 1, 12)
+        assert a.reciprocal().coeffs == (F(1, 2), F(1, 4), F(1, 8), F(-11, 16))
 
 
 # Frozen from a symbolic expansion of x/(2 sinh(x/2)):
