@@ -125,8 +125,7 @@ def _cmd_hp_table(args) -> str:
 
 def _cmd_steenrod_sq(args) -> str:
     from . import steenrod
-    ring = steenrod.StiefelWhitneyRing()
-    poly = steenrod.parse_polynomial(ring, args.poly)
+    poly = steenrod.parse_polynomial(args.poly)
     result = steenrod.sq(args.k, poly)
     if args.format == "json":
         return _json_dump({"k": args.k, "input": str(poly), "result": str(result)})
@@ -141,8 +140,7 @@ def _check_max_degree(degree: int, cap: int) -> None:
 def _cmd_steenrod_wu(args) -> str:
     from . import steenrod
     _check_max_degree(args.max_degree, steenrod.MAX_STEENROD_DEGREE)
-    ring = steenrod.StiefelWhitneyRing()
-    nu = steenrod.wu_classes(ring, args.max_degree)
+    nu = steenrod.wu_classes(args.max_degree)
     if args.format == "json":
         return _json_dump({"max_degree": args.max_degree,
                            "classes": [str(p) for p in nu]})
@@ -157,8 +155,8 @@ def _cmd_steenrod_verify(args) -> str:
     free = model.free_series()
     homology = steenrod.sq1_homology_series(args.max_degree, model)
     oracle = steenrod.sq1_homology_oracle(args.max_degree)
-    ring = model.ideal.ring
-    w9 = ring.w(9) + ring.w(2) * ring.w(7) + ring.w(3) * ring.w(6)
+    w = steenrod.StiefelWhitneyRing.w
+    w9 = w(9) + w(2) * w(7) + w(3) * w(6)
     w9_member = args.max_degree >= 9 and steenrod.ideal_membership(w9, model.ideal).member
     payload = {
         "max_degree": args.max_degree,
@@ -304,15 +302,18 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         # argparse takes the first bare token for the subcommand, so the
         # value of an unknown option before it (`--trunc 10 hp-table`) was
-        # reported as an invalid choice.  A parser with subcommands reads
-        # no option of its own but -h/--help (and "--"), so any other
-        # tokens before the subcommand are unrecognized arguments.
+        # reported as an invalid choice.  A parser with subcommands reads no
+        # option but -h/--help, so other tokens before the subcommand, or all
+        # tokens if none follows and they open on "-", are unrecognized.
         args = sys.argv[1:] if args is None else list(args)
-        start = next((i for i, arg in enumerate(args) if arg in self._commands), 0)
+        fallback = len(args) if self._commands and args and args[0].startswith("-") else 0
+        start = next((i for i, arg in enumerate(args) if arg in self._commands), fallback)
         lead = args[:start]
-        if any(arg.startswith("-h") or "--help".startswith(arg.partition("=")[0])
-               for arg in lead):
+        if any(arg.startswith("-h") or arg.startswith("--h")
+               and "--help".startswith(arg.partition("=")[0]) for arg in lead):
             start, lead = 0, []
+        elif lead and start == len(args):
+            self.error(f"unrecognized arguments: {' '.join(lead)}")
         namespace, extras = super().parse_known_args(args[start:], namespace)
         return namespace, lead + extras
 

@@ -98,32 +98,37 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class StiefelWhitneyRing:
-    """Z2[w_i | i >= 2] (oriented).  It carries no state: every instance
-    is the same ring."""
+    """Z2[w_i | i >= 2] (oriented).  It carries no state, so its methods
+    are static and the package calls them on the class."""
 
-    def w(self, index: int) -> "F2Polynomial":
+    @staticmethod
+    def w(index: int) -> "F2Polynomial":
         """The class w_index, with w0 = 1 and w1 = 0."""
         if index < 0:
             raise ValueError("generator index must be nonnegative")
         if index == 0:
-            return self.one()
+            return StiefelWhitneyRing.one()
         if index == 1:
-            return self.zero()
+            return StiefelWhitneyRing.zero()
         return F2Polynomial(frozenset({((index, 1),)}))
 
-    def zero(self) -> "F2Polynomial":
+    @staticmethod
+    def zero() -> "F2Polynomial":
         return F2Polynomial(frozenset())
 
-    def one(self) -> "F2Polynomial":
+    @staticmethod
+    def one() -> "F2Polynomial":
         return F2Polynomial(frozenset({UNIT}))
 
-    def from_monomials(self, monomials: Iterable[Monomial]) -> "F2Polynomial":
+    @staticmethod
+    def from_monomials(monomials: Iterable[Monomial]) -> "F2Polynomial":
         acc: set[Monomial] = set()
         for m in monomials:
             acc.symmetric_difference_update({m})
         return F2Polynomial(frozenset(acc))
 
-    def monomial_basis(self, degree: int) -> list[Monomial]:
+    @staticmethod
+    def monomial_basis(degree: int) -> list[Monomial]:
         """All monomials of the exact degree, graded-lex ordered."""
         return list(_monomial_basis(degree, 2))
 
@@ -453,7 +458,7 @@ def sq(k: int, p: F2Polynomial) -> F2Polynomial:
     return F2Polynomial(frozenset(acc))
 
 
-def wu_classes(ring: StiefelWhitneyRing, max_degree: int) -> list[F2Polynomial]:
+def wu_classes(max_degree: int) -> list[F2Polynomial]:
     """Wu classes v_0..v_max solving Sq(v) = w degree by degree.
 
     The triangular system v_k = w_k + sum_{i>=1} Sq^i(v_{k-i}) determines
@@ -607,9 +612,7 @@ class GradedIdeal:
     cache is the only mutation; queries afterwards are read-only.
     """
 
-    def __init__(self, ring: StiefelWhitneyRing, generators: Iterable[F2Polynomial],
-                 degree_cap: int = 24):
-        self.ring = ring
+    def __init__(self, generators: Iterable[F2Polynomial], degree_cap: int = 24):
         self.generators = [g for g in generators if not g.is_zero()]
         if not all(g.is_homogeneous() for g in self.generators):
             raise ValueError("ideal generators must be homogeneous")
@@ -623,7 +626,7 @@ class GradedIdeal:
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
-        monomials = self.ring.monomial_basis(degree)
+        monomials = StiefelWhitneyRing.monomial_basis(degree)
         index = {m: i for i, m in enumerate(monomials)}
         width = len(monomials)
         products: list[tuple[Monomial, int]] = []
@@ -632,7 +635,7 @@ class GradedIdeal:
             gdeg = g.degree()
             if gdeg > degree:
                 continue
-            for mult in self.ring.monomial_basis(degree - gdeg):
+            for mult in StiefelWhitneyRing.monomial_basis(degree - gdeg):
                 bits = 0
                 for mono in g.terms:
                     bits ^= 1 << index[_mono_mul(mult, mono)]
@@ -679,7 +682,7 @@ class GradedIdeal:
             low = row & -row
             monos.append(sl.monomials[low.bit_length() - 1])
             row ^= low
-        return self.ring.from_monomials(monos)
+        return StiefelWhitneyRing.from_monomials(monos)
 
 
 @_value_class
@@ -701,9 +704,8 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
                   for i in range((row >> sl.width).bit_length())
                   if row & (1 << (sl.width + i)))
     # replay the certificate against the original polynomial
-    check = ideal.ring.zero()
-    for mult, gnum in combo:
-        check = check + ideal.ring.from_monomials([mult]) * ideal.generators[gnum]
+    check = sum((StiefelWhitneyRing.from_monomials([mult]) * ideal.generators[gnum]
+                 for mult, gnum in combo), StiefelWhitneyRing.zero())
     if check != p:
         raise AssertionError("certificate replay failed; row bookkeeping bug")
     return MembershipCertificate(True, combo)
@@ -715,10 +717,7 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
 
 def quotient_poincare_series(ideal: GradedIdeal, max_degree: int) -> list[int]:
     """Dimensions of (ambient ring / ideal) per degree, 0..max_degree."""
-    out = []
-    for d in range(0, max_degree + 1):
-        out.append(len(ideal.ring.monomial_basis(d)) - ideal.rank(d))
-    return out
+    return [sl.width - len(sl.rows) for sl in map(ideal.slice, range(max_degree + 1))]
 
 
 def free_subalgebra_series(allowed_degrees: Iterable[int], max_degree: int) -> list[int]:
@@ -767,7 +766,6 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
         raise ValueError("kind must be spinh, spin or spinc")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    ring = StiefelWhitneyRing()
     top = max_degree + 1  # slices up to here are used by Sq1-homology
     # One table of (degree a relation kills, Wu class it reads): v_2 = w2
     # itself kills 2, and Sq1 v_p, whose one linear term is w_{p+1}, kills
@@ -784,8 +782,8 @@ def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
     relations = [(d, p) for d, p in relations if d <= top]
     # v_k depends only on the lower classes, so the solve stops at the
     # highest class a relation reads
-    nu = wu_classes(ring, max((p for _, p in relations), default=0))
-    ideal = GradedIdeal(ring, [nu[p] if d == p else _sq1(ring, nu[p]) for d, p in relations],
+    nu = wu_classes(max((p for _, p in relations), default=0))
+    ideal = GradedIdeal([nu[p] if d == p else _sq1(nu[p]) for d, p in relations],
                         degree_cap=top)
     killed = {d for d, _ in relations}
     allowed = tuple(d for d in range(2, max_degree + 1) if d not in killed)
@@ -808,8 +806,9 @@ def _sq1_monomial(mono: Monomial) -> list[Monomial]:
     return out
 
 
-def _sq1(ring: StiefelWhitneyRing, p: F2Polynomial) -> F2Polynomial:
-    return ring.from_monomials(image for mono in p.terms for image in _sq1_monomial(mono))
+def _sq1(p: F2Polynomial) -> F2Polynomial:
+    return StiefelWhitneyRing.from_monomials(
+        image for mono in p.terms for image in _sq1_monomial(mono))
 
 
 def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> list[int]:
@@ -859,18 +858,18 @@ def sq1_homology_oracle(max_degree: int) -> list[int]:
 # polynomial text grammar (CLI surface): w<i>, v<i>, +, *, ^
 # --------------------------------------------------------------------------
 
-def parse_polynomial(ring: StiefelWhitneyRing, text: str) -> F2Polynomial:
+def parse_polynomial(text: str) -> F2Polynomial:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
     if text == "0":
-        return ring.zero()
-    total = ring.zero()
+        return StiefelWhitneyRing.zero()
+    total = StiefelWhitneyRing.zero()
     nu: list[F2Polynomial] = []  # one solve serves every v<k> of the text
     for term in text.split("+"):
         if not term:
             raise ValueError("empty term in polynomial")
-        factor_total = ring.one()
+        factor_total = StiefelWhitneyRing.one()
         for factor in term.split("*"):
             base, caret, exp = factor.partition("^")
             if caret and not _is_digits(exp.removeprefix("-")):
@@ -879,16 +878,16 @@ def parse_polynomial(ring: StiefelWhitneyRing, text: str) -> F2Polynomial:
             if e < 0:
                 raise ValueError("negative exponent")
             if base == "1":
-                poly = ring.one()
+                poly = StiefelWhitneyRing.one()
             elif base[:1] == "w" and _is_digits(base[1:]):
-                poly = ring.w(int(base[1:]))
+                poly = StiefelWhitneyRing.w(int(base[1:]))
             elif base[:1] == "v" and _is_digits(base[1:]):
                 k = int(base[1:])
                 if k > MAX_STEENROD_DEGREE:
                     raise ValueError(f"Wu class v{k} has degree {k}, "
                                      f"over the cap {MAX_STEENROD_DEGREE}")
                 if len(nu) <= k:
-                    nu = wu_classes(ring, k)
+                    nu = wu_classes(k)
                 poly = nu[k]
             else:
                 raise ValueError(f"cannot parse factor {factor!r}")

@@ -197,7 +197,7 @@ def test_criterion_7_steenrod_suite():
     cap = 20
 
     assert sq(1, ring.w(2)) == ring.w(3)
-    nu = wu_classes(ring, cap + 1)
+    nu = wu_classes(cap + 1)
     assert nu[4] == ring.w(4) + ring.w(2) * ring.w(2)
     assert sq(1, nu[4]) == ring.w(5)
     assert chi_sq(3) == frozenset({(2, 1)})

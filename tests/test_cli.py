@@ -310,6 +310,10 @@ class TestTokensBeforeTheSubcommand:
         (["--foo", "classify", "--n", "3", "--bar"], "--foo --bar"),
         (["-7", "x", "dims", "--n", "3", "--field", "R"], "-7 x"),
         (["steenrod", "--foo", "3", "sq", "--k", "1", "--poly", "w2"], "--foo 3"),
+        # no subcommand follows the option
+        (["--trunc", "10"], "--trunc 10"),
+        # a bare "--" is not an abbreviation of --help
+        (["--", "classify", "--n", "3"], "--"),
     ])
     def test_every_token_is_named(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
@@ -322,6 +326,23 @@ class TestTokensBeforeTheSubcommand:
         code, out, err = run(capsys, "--foo", help_option, "classify", "--n", "3")
         assert (code, err) == (0, "")
         assert out.startswith("usage: spinhalg [-h]")
+
+    @pytest.mark.parametrize("help_option", ["-h", "--help", "--he"])
+    def test_help_alone_prints_help(self, capsys, help_option):
+        code, out, err = run(capsys, help_option)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: spinhalg [-h]")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["foo"], "argument command: invalid choice: 'foo' (choose from "),
+        (["foo", "--trunc", "10"], "argument command: invalid choice: 'foo' (choose from "),
+    ])
+    def test_a_missing_or_unknown_subcommand_is_reported_as_such(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: spinhalg [-h]")
+        assert f"\nspinhalg: error: {message}" in err
 
 
 class TestUsageText:

@@ -323,13 +323,13 @@ class TestCanonicalMonomials:
     @given(poly_texts, poly_texts, st.integers(0, 5), st.integers(0, 12),
            st.integers(0, 16))
     def test_every_operation_keeps_monomials_canonical(self, a, b, e, k, top):
-        p, q = parse_polynomial(RING, a), parse_polynomial(RING, b)
+        p, q = parse_polynomial(a), parse_polynomial(b)
         assert canonical(p) and canonical(q)
         assert canonical(p * q)
         assert canonical(p ** e)
         assert canonical(sq(k, p * q))
-        assert all(map(canonical, wu_classes(RING, top)))
-        ideal = GradedIdeal(RING, [q.graded_part(d) for d in range(top + 1)])
+        assert all(map(canonical, wu_classes(top)))
+        ideal = GradedIdeal([q.graded_part(d) for d in range(top + 1)])
         for d in range(top + 1):
             assert canonical(ideal.reduce((p * q + p).graded_part(d)))
 
@@ -388,10 +388,10 @@ class TestCartanBound:
         (40, "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12", 93_765_599_603),
     ])
     def test_pinned_bounds(self, uncapped_bound, k, text, bound):
-        assert cartan_bound(k, parse_polynomial(RING, text)) == bound
+        assert cartan_bound(k, parse_polynomial(text)) == bound
 
     def test_capped_count_saturates(self):
-        p = parse_polynomial(RING, "w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12")
+        p = parse_polynomial("w2*w3*w4*w5*w6*w7*w8*w9*w10*w11*w12")
         assert cartan_bound(40, p) == steenrod.MAX_CARTAN_TERMS + 1
 
     @pytest.mark.parametrize("k, text", [
@@ -399,7 +399,7 @@ class TestCartanBound:
         (16, "v40*v2"),
     ])
     def test_sq_over_the_cap_is_an_error(self, k, text):
-        p = parse_polynomial(RING, text)
+        p = parse_polynomial(text)
         with pytest.raises(ValueError, match=f"Cartan expansion of Sq\\^{k} may form "
                                              "more than 1000000 products"):
             sq(k, p)
@@ -420,7 +420,7 @@ class TestWuClasses:
         # Sq(v) = w through degree 28, on the printed classes
         oracles = bench_oracles()
         top = 28
-        classes = [oracles.parse_poly(str(v)) for v in wu_classes(RING, top)]
+        classes = [oracles.parse_poly(str(v)) for v in wu_classes(top)]
         for n in range(top + 1):
             total = set()
             for i in range(n + 1):
@@ -429,7 +429,7 @@ class TestWuClasses:
             assert total == (set() if w_n is None else {w_n}), f"degree {n}"
 
     def test_low_values(self):
-        nu = wu_classes(RING, 8)
+        nu = wu_classes(8)
         assert nu[0] == RING.one()
         assert nu[1].is_zero()
         assert nu[2] == RING.w(2)
@@ -437,13 +437,13 @@ class TestWuClasses:
         assert nu[4] == RING.w(4) + w(2, 2)
 
     def test_sq1_nu4_is_w5(self):
-        nu = wu_classes(RING, 4)
+        nu = wu_classes(4)
         assert sq(1, nu[4]) == RING.w(5)
 
     def test_total_identity(self):
         # Sq(v) = w through degree 16, with Sq the sum of Sq^0..Sq^top
         top = 16
-        nu = wu_classes(RING, top)
+        nu = wu_classes(top)
         total = RING.zero()
         for k in range(0, top + 1):
             for i in range(0, top + 1):
@@ -455,7 +455,7 @@ class TestWuClasses:
         # the solve skips odd k, so each odd equation of Sq(v) = w is checked
         # on the returned classes through the public sq, degree 31 included
         top = 31
-        nu = wu_classes(RING, top)
+        nu = wu_classes(top)
         for k in range(1, top + 1, 2):
             total = RING.w(k)
             for i in range(1, k):
@@ -564,16 +564,16 @@ class TestF2Elimination:
 
 class TestIdeals:
     def test_w5_membership(self):
-        nu = wu_classes(RING, 4)
-        ideal = GradedIdeal(RING, [sq(1, nu[4])])
+        nu = wu_classes(4)
+        ideal = GradedIdeal([sq(1, nu[4])])
         cert = ideal_membership(RING.w(5), ideal)
         assert cert.member
         # the generator itself: unit multiplier against generator 0
         assert cert.combination == (((), 0),)
 
     def test_w2_not_member(self):
-        nu = wu_classes(RING, 4)
-        ideal = GradedIdeal(RING, [sq(1, nu[4])])
+        nu = wu_classes(4)
+        ideal = GradedIdeal([sq(1, nu[4])])
         assert not ideal_membership(RING.w(2), ideal).member
 
     def test_w9_certificate(self):
@@ -585,7 +585,7 @@ class TestIdeals:
     def test_sq1_nu8_leading_term(self):
         # Sq1 v8 = w9 + decomposables, and both relation generators sit
         # inside the ideal they generate
-        nu = wu_classes(RING, 8)
+        nu = wu_classes(8)
         relation = sq(1, nu[8])
         assert ((9, 1),) in relation.terms  # the singleton monomial w9
         decomposables = relation + RING.w(9)
@@ -595,13 +595,13 @@ class TestIdeals:
         assert ideal_membership(sq(1, nu[4]), model.ideal).member
 
     def test_degree_cap(self):
-        ideal = GradedIdeal(RING, [RING.w(2)], degree_cap=6)
+        ideal = GradedIdeal([RING.w(2)], degree_cap=6)
         with pytest.raises(DegreeCapExceeded):
             ideal.rank(7)
 
     def test_inhomogeneous_generator_rejected(self):
         with pytest.raises(ValueError):
-            GradedIdeal(RING, [RING.w(2) + RING.w(3)])
+            GradedIdeal([RING.w(2) + RING.w(3)])
 
     def test_reduce_is_projection(self):
         model = bso_quotient_model("spinh", 10)
@@ -676,17 +676,43 @@ class TestQuotientSeries:
         assert [str(g) for g in model.ideal.generators] == (["w2"] if spin_v2 else [])
 
     @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
+    def test_dimension_is_basis_size_less_ideal_rank(self, kind):
+        # the series reads each slice's width; the ambient basis itself is
+        # the oracle
+        model = bso_quotient_model(kind, 16)
+        expected = [len(StiefelWhitneyRing.monomial_basis(k)) - model.ideal.rank(k)
+                    for k in range(17)]
+        assert quotient_poincare_series(model.ideal, 16) == expected
+
+    @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
     def test_negative_degree_is_an_error(self, kind):
         with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
             bso_quotient_model(kind, -1)
 
     def test_unknown_kind_is_refused_before_any_solve(self, monkeypatch):
-        def no_solve(ring, max_degree):
+        def no_solve(max_degree):
             raise AssertionError("wu_classes called for an unknown kind")
 
         monkeypatch.setattr(steenrod, "wu_classes", no_solve)
         with pytest.raises(ValueError, match="^kind must be spinh, spin or spinc$"):
             bso_quotient_model("spinx", 8)
+
+
+class TestBeyondTheModel:
+    # the relation list is complete through max_degree + 1, the ideal's
+    # cap, so degrees past it are refused rather than answered
+    def test_membership_above_the_cap_is_refused(self):
+        model = bso_quotient_model("spinh", 10)
+        relation = sq(1, wu_classes(8)[8])
+        assert ideal_membership(RING.w(2) * relation, model.ideal).member
+        with pytest.raises(DegreeCapExceeded, match="^degree 12 exceeds cap 11$"):
+            ideal_membership(RING.w(3) * relation, model.ideal)
+
+    def test_sq1_homology_past_the_model_is_refused(self):
+        model = bso_quotient_model("spinh", 10)
+        assert sq1_homology_series(10, model) == sq1_homology_oracle(10)
+        with pytest.raises(DegreeCapExceeded, match="^degree 12 exceeds cap 11$"):
+            sq1_homology_series(11, model)
 
 
 class TestSq1Formula:
@@ -705,7 +731,7 @@ class TestQuotientGenerators:
         # the model solves only up to the highest class a relation reads;
         # its relations equal those read off the solve through max_degree + 1
         top = max_degree + 1
-        nu = wu_classes(RING, top)
+        nu = wu_classes(top)
         expected = []
         if kind == "spin" and top >= 2:
             expected.append(nu[2])
@@ -785,42 +811,75 @@ class TestMonomialBasis:
         assert RING.monomial_basis(12) is not RING.monomial_basis(12)
 
 
+class TestNoRingArgument:
+    # the ring carries no state: the Steenrod API takes none, and the
+    # package calls the ring's methods on the class
+    def test_wu_classes(self):
+        assert wu_classes(4) == [RING.one(), RING.zero(), RING.w(2), RING.zero(),
+                                 RING.w(4) + w(2, 2)]
+
+    def test_parse_polynomial(self):
+        assert parse_polynomial("v8*w2") == wu_classes(8)[8] * RING.w(2)
+
+    def test_graded_ideal(self):
+        ideal = GradedIdeal([RING.w(2)], degree_cap=6)
+        # multiples of w2: one per monomial of degree d - 2
+        assert [ideal.rank(d) for d in range(7)] == [0, 0, 1, 0, 1, 1, 2]
+        assert not hasattr(ideal, "ring")
+
+    def test_methods_are_called_on_the_class(self, monkeypatch):
+        # a plain function in place of the class attribute, as a tracer
+        # installs it, receives no instance
+        calls = []
+        original = StiefelWhitneyRing.monomial_basis
+
+        def counted(degree):
+            calls.append(degree)
+            return original(degree)
+
+        monkeypatch.setattr(StiefelWhitneyRing, "monomial_basis", counted)
+        model = bso_quotient_model("spinh", 12)
+        assert model.poincare_series() == model.free_series()
+        assert sq1_homology_series(12, model) == sq1_homology_oracle(12)
+        assert sorted(set(calls)) == list(range(14))
+
+
 class TestParser:
     def test_round_trip(self):
-        p = parse_polynomial(RING, "w2*w4+w3^2")
+        p = parse_polynomial("w2*w4+w3^2")
         assert p == RING.w(2) * RING.w(4) + RING.w(3) ** 2
 
     def test_wu_generators(self):
-        assert parse_polynomial(RING, "v4") == RING.w(4) + w(2, 2)
+        assert parse_polynomial("v4") == RING.w(4) + w(2, 2)
 
     def test_whitespace_and_unit(self):
-        assert parse_polynomial(RING, " 1 + w2 ") == RING.one() + RING.w(2)
-        assert parse_polynomial(RING, "0").is_zero()
-        assert parse_polynomial(RING, "w3*w2^0*w2^-0") == RING.w(3)
+        assert parse_polynomial(" 1 + w2 ") == RING.one() + RING.w(2)
+        assert parse_polynomial("0").is_zero()
+        assert parse_polynomial("w3*w2^0*w2^-0") == RING.w(3)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            parse_polynomial(RING, "x2")
+            parse_polynomial("x2")
         with pytest.raises(ValueError):
-            parse_polynomial(RING, "")
+            parse_polynomial("")
 
     def test_wu_factor_at_the_degree_cap(self, monkeypatch):
         # v40 parses at the cap, and its one solve serves the later factor
         # v2; v41 is refused before any solve
         solves = []
 
-        def counted(ring, max_degree):
+        def counted(max_degree):
             solves.append(max_degree)
-            return wu_classes(ring, max_degree)
+            return wu_classes(max_degree)
 
         monkeypatch.setattr(steenrod, "wu_classes", counted)
-        p = parse_polynomial(RING, "v40*v2")
+        p = parse_polynomial("v40*v2")
         assert solves == [40]
         assert p.is_homogeneous() and p.degree() == 42
         with pytest.raises(ValueError, match="v41 has degree 41, over the cap 40"):
-            parse_polynomial(RING, "v41")
+            parse_polynomial("v41")
         assert solves == [40]
 
     def test_deterministic_str(self):
-        p = parse_polynomial(RING, "w3^2+w2*w4")
+        p = parse_polynomial("w3^2+w2*w4")
         assert str(p) == "w2*w4+w3^2"
