@@ -62,7 +62,6 @@ _SUBMODULE = {
             "bso_quotient_model",
             "chi_sq",
             "ideal_membership",
-            "quotient_poincare_series",
             "sq",
             "sq1_homology_series",
             "wu_classes",
@@ -112,26 +111,24 @@ def _numerators(values) -> tuple[int, list[int]]:
     return d, [c.numerator * (d // c.denominator) for c in values]
 
 
-def _value_class(cls=None, /, *, uncompared=()):
+def _value_class(cls):
     """Decorate an immutable value type, as `@dataclass(frozen=True)` did.
 
     The fields are the class's own annotations in order, and a class-level
     value is a field's default.  The class gets an `__init__` taking the
     fields by position or keyword that then calls `__post_init__` if the
     class has one; the dataclass `repr`; `__eq__` between instances of the
-    same class and `__hash__`, both over the fields not named in
-    `uncompared`; and a `__setattr__`/`__delattr__` that raise
-    AttributeError (`__post_init__` normalises through
-    `object.__setattr__`).  Built from closures, with no `exec`.
+    same class and `__hash__`, both over the fields; and a
+    `__setattr__`/`__delattr__` that raise AttributeError (`__post_init__`
+    normalises through `object.__setattr__`).  Built from closures, with
+    no `exec`.
     """
-    if cls is None:
-        return lambda cls: _value_class(cls, uncompared=uncompared)
     fields = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
-    get = _attrgetter(*(name for name in fields if name not in uncompared))
+    get = _attrgetter(*fields)
     # attrgetter of one name returns the bare value; the hash is always
-    # that of the tuple of compared values
-    key = get if len(fields) - len(uncompared) > 1 else lambda self: (get(self),)
+    # that of the tuple of the fields
+    key = get if len(fields) > 1 else lambda self: (get(self),)
     post_init = hasattr(cls, "__post_init__")
     init_name = f"{cls.__qualname__}.__init__()"
     assign = object.__setattr__

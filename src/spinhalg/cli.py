@@ -153,8 +153,8 @@ def _cmd_steenrod_verify(args) -> str:
     model = steenrod.bso_quotient_model("spinh", args.max_degree)
     quotient = model.poincare_series()
     free = model.free_series()
-    homology = steenrod.sq1_homology_series(args.max_degree, model)
-    oracle = steenrod.sq1_homology_oracle(args.max_degree)
+    homology = steenrod.sq1_homology_series(model)
+    oracle = steenrod.sq1_homology_oracle(model)
     w = steenrod.StiefelWhitneyRing.w
     w9 = w(9) + w(2) * w(7) + w(3) * w(6)
     w9_member = args.max_degree >= 9 and steenrod.ideal_membership(w9, model.ideal).member
@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", choices=["KO", "KU", "KSp"], required=True)
     p.add_argument("--coeff", type=str, default="Z")
     p.add_argument("--range", type=str, required=True,
-                   help="degree range, e.g. 0..16")
+                   help="degree range, e.g. 0..16 (use --range=-3..-1 for a negative "
+                        "lower end)")
     _add_format(p, tsv=True)
     p.set_defaults(handler=_cmd_ktable)
 

@@ -388,7 +388,6 @@ class DualityReport:
     verified: bool
     torsion_candidates: int      # prod n_i^2 candidate generator assignments
     torsion_valid: int           # |G| of them are homomorphisms
-    free_witnesses: tuple[tuple[Fraction, bool], ...]
 
 
 def _element_orders(factors: tuple[int, ...]) -> dict[int, int]:
@@ -404,9 +403,6 @@ def _element_orders(factors: tuple[int, ...]) -> dict[int, int]:
     return counts
 
 
-DEFAULT_WITNESSES = (Fraction(3), Fraction(1, 2), Fraction(-7), Fraction(5, 3), Fraction(0))
-
-
 def dual_group(group: FGAbelianGroup) -> DualityReport:
     """Double dual of a finitely generated abelian group under the
     rational-circle pairing, with a brute-force verification.
@@ -420,10 +416,7 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
     statistics of the dual, enumerated row by row, with those of A,
     counted by the gcd identity of _element_orders.  Finite abelian groups
     with the same number of elements of each order are isomorphic, so the
-    order comparison decides the isomorphism type.  For free factors the
-    liftable endomorphisms of Q/Z are exactly the integer multiplications;
-    free_witnesses reports, for each rational in DEFAULT_WITNESSES,
-    whether it is one.
+    order comparison decides the isomorphism type.
     """
     if group.rank > 2:
         raise VerificationBoundExceeded("free rank capped at two for verification")
@@ -462,6 +455,4 @@ def dual_group(group: FGAbelianGroup) -> DualityReport:
     # are t_i = x_i/n_i, and each is evaluation at x, so all are valid.
     candidates = prod(n * n for n in factors)
     verified = _element_orders(factors) == dual_orders
-
-    witness_results = tuple((q, q.denominator == 1) for q in DEFAULT_WITNESSES)
-    return DualityReport(group, verified, candidates, len(elements), witness_results)
+    return DualityReport(group, verified, candidates, len(elements))

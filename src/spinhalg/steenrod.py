@@ -715,15 +715,12 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
 # quotient models of classifying-space cohomology
 # --------------------------------------------------------------------------
 
-def quotient_poincare_series(ideal: GradedIdeal, max_degree: int) -> list[int]:
-    """Dimensions of (ambient ring / ideal) per degree, 0..max_degree."""
-    return [sl.width - len(sl.rows) for sl in map(ideal.slice, range(max_degree + 1))]
-
-
 def free_subalgebra_series(allowed_degrees: Iterable[int], max_degree: int) -> list[int]:
     """Poincare series of a free commutative F2 algebra with one
     generator per listed degree (repeats mean several generators):
     product of 1/(1-t^d)."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     series = [0] * (max_degree + 1)
     series[0] = 1
     for d in sorted(allowed_degrees):
@@ -736,52 +733,54 @@ def free_subalgebra_series(allowed_degrees: Iterable[int], max_degree: int) -> l
     return series
 
 
-@_value_class(uncompared=("ideal",))
+# kind -> (low relations, degrees of its rational generators besides the
+# Pontryagin classes: c1 for spin^c, p1' of the SO(3) bundle for spin^h).
+# A relation is (degree it kills, Wu class it reads): v_2 = w2 itself kills
+# 2, and Sq1 v_p, whose one linear term is w_{p+1}, kills p + 1.
+KINDS = {
+    "spin": (((2, 2), (3, 2)), ()),
+    "spinc": (((3, 2),), (2,)),
+    "spinh": ((), (4,)),
+}
+
+
+@_value_class
 class QuotientModel:
     """A quotient of Z2[w2, w3, ...] by Sq1-of-Wu-class relations, paired
     with the free subalgebra predicted to survive."""
 
     kind: str
     max_degree: int
-    ideal: GradedIdeal
+    ideal: GradedIdeal  # compared by identity: an ideal has no value equality
     allowed_degrees: tuple[int, ...] = ()
 
     def poincare_series(self) -> list[int]:
-        return quotient_poincare_series(self.ideal, self.max_degree)
+        """Dimensions of (ambient ring / ideal) per degree, 0..max_degree."""
+        return [sl.width - len(sl.rows)
+                for sl in map(self.ideal.slice, range(self.max_degree + 1))]
 
     def free_series(self) -> list[int]:
         return free_subalgebra_series(self.allowed_degrees, self.max_degree)
 
 
 def bso_quotient_model(kind: str, max_degree: int) -> QuotientModel:
-    """Quotient presentation of the classifying-space cohomology:
-
-    spinh: kill Sq1 v_{2^{r+1}} for r >= 1;
-    spinc: also kill Sq1 v_2;
-    spin:  also kill v_2 itself.
+    """Quotient presentation of the classifying-space cohomology of a kind
+    in KINDS: its low relations, then Sq1 v_{2^k} for k >= 2.
 
     Relation generators whose degree exceeds max_degree + 1 cannot meet
     the window and are omitted."""
-    if kind not in ("spinh", "spinc", "spin"):
+    if kind not in KINDS:
         raise ValueError("kind must be spinh, spin or spinc")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     top = max_degree + 1  # slices up to here are used by Sq1-homology
-    # One table of (degree a relation kills, Wu class it reads): v_2 = w2
-    # itself kills 2, and Sq1 v_p, whose one linear term is w_{p+1}, kills
-    # p + 1.  The ideal and the predicted generator degrees both come from
-    # it, the degrees from the indices and not from the polynomials, so a
-    # relation that comes out wrong shows in the series comparison.
-    relations = [(2, 2)] if kind == "spin" else []
-    if kind != "spinh":
-        relations.append((3, 2))
-    p = 4
-    while p + 1 <= top:
-        relations.append((p + 1, p))
-        p *= 2
-    relations = [(d, p) for d, p in relations if d <= top]
+    shared = [(p + 1, p) for p in (1 << k for k in range(2, top.bit_length()))]
+    relations = [(d, p) for d, p in (*KINDS[kind][0], *shared) if d <= top]
+    # The ideal and the predicted generator degrees both come from the
+    # relations, the degrees from the indices and not from the polynomials,
+    # so a relation that comes out wrong shows in the series comparison.
     # v_k depends only on the lower classes, so the solve stops at the
-    # highest class a relation reads
+    # highest class a relation reads.
     nu = wu_classes(max((p for _, p in relations), default=0))
     ideal = GradedIdeal([nu[p] if d == p else _sq1(nu[p]) for d, p in relations],
                         degree_cap=top)
@@ -811,16 +810,14 @@ def _sq1(p: F2Polynomial) -> F2Polynomial:
         image for mono in p.terms for image in _sq1_monomial(mono))
 
 
-def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> list[int]:
-    """Per-degree dimension of ker Sq1 / im Sq1 on the quotient model
-    (default: the spinh quotient), computed by honest linear algebra."""
-    if model is None:
-        model = bso_quotient_model("spinh", max_degree)
+def sq1_homology_series(model: QuotientModel) -> list[int]:
+    """Per-degree dimension of ker Sq1 / im Sq1 on the quotient model,
+    computed by honest linear algebra."""
     ideal = model.ideal
     # Sq1 sends the quotient basis of degree d, the non-pivot monomials of
     # its slice, to rows of slice d + 1 reduced to coset representatives;
     # ranks[d] is the rank of those rows out of degree d - 1.
-    slices = [ideal.slice(d) for d in range(0, max_degree + 2)]
+    slices = [ideal.slice(d) for d in range(0, model.max_degree + 2)]
     ranks = [0]
     for sl, target in zip(slices, slices[1:]):
         mask = (1 << target.width) - 1
@@ -837,21 +834,15 @@ def sq1_homology_series(max_degree: int, model: QuotientModel | None = None) -> 
             for d, sl in enumerate(slices[:-1])]
 
 
-def sq1_homology_oracle(max_degree: int) -> list[int]:
-    """Poincare series of Z2[w2^2, w_{2k}^2 (k not a 2-power), v_{2^{r+1}}]:
-    generators in degree 4, degrees 4k for k >= 3 not a power of two, and
-    degrees 2^{r+1} for r >= 1."""
-    degrees = [4]
-    k = 3
-    while 4 * k <= max_degree:
-        if k & (k - 1):  # not a power of two
-            degrees.append(4 * k)
-        k += 1
-    power = 4
-    while power <= max_degree:
-        degrees.append(power)
-        power *= 2
-    return free_subalgebra_series(degrees, max_degree)
+def sq1_homology_oracle(model: QuotientModel) -> list[int]:
+    """Poincare series of the rational cohomology of the model's kind
+    through its degree: Q[p1, p2, ...], with p_k in degree 4k, and the
+    kind's extra generators from KINDS.  It reads no relation and no
+    slice.  Where all torsion of the integral cohomology has order 2, the
+    Sq1 homology has this series."""
+    extras = KINDS[model.kind][1]
+    return free_subalgebra_series([*range(4, model.max_degree + 1, 4), *extras],
+                                  model.max_degree)
 
 
 # --------------------------------------------------------------------------

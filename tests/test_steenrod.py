@@ -27,7 +27,6 @@ from spinhalg.steenrod import (
     ideal_membership,
     is_admissible,
     parse_polynomial,
-    quotient_poincare_series,
     sq,
     sq1_homology_oracle,
     sq1_homology_series,
@@ -663,6 +662,11 @@ class TestQuotientSeries:
     def test_free_series_with_repeats(self):
         assert free_subalgebra_series([2, 2], 4) == [1, 0, 2, 0, 3]
 
+    @pytest.mark.parametrize("degrees", [[], [2]])
+    def test_free_series_of_negative_degree_is_an_error(self, degrees):
+        with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
+            free_subalgebra_series(degrees, -1)
+
     @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
     @pytest.mark.parametrize("max_degree", [0, 1])
     def test_smallest_windows(self, kind, max_degree):
@@ -671,7 +675,7 @@ class TestQuotientSeries:
         model = bso_quotient_model(kind, max_degree)
         expected = [1, 0][:max_degree + 1]
         assert model.poincare_series() == model.free_series() == expected
-        assert sq1_homology_series(max_degree, model) == expected
+        assert sq1_homology_series(model) == sq1_homology_oracle(model) == expected
         spin_v2 = kind == "spin" and max_degree == 1
         assert [str(g) for g in model.ideal.generators] == (["w2"] if spin_v2 else [])
 
@@ -682,7 +686,7 @@ class TestQuotientSeries:
         model = bso_quotient_model(kind, 16)
         expected = [len(StiefelWhitneyRing.monomial_basis(k)) - model.ideal.rank(k)
                     for k in range(17)]
-        assert quotient_poincare_series(model.ideal, 16) == expected
+        assert model.poincare_series() == expected
 
     @pytest.mark.parametrize("kind", ["spin", "spinc", "spinh"])
     def test_negative_degree_is_an_error(self, kind):
@@ -709,10 +713,13 @@ class TestBeyondTheModel:
             ideal_membership(RING.w(3) * relation, model.ideal)
 
     def test_sq1_homology_past_the_model_is_refused(self):
+        # the series reads its degree from the model, whose ideal refuses
+        # the slice that Sq1 homology one degree higher would need
         model = bso_quotient_model("spinh", 10)
-        assert sq1_homology_series(10, model) == sq1_homology_oracle(10)
+        series = sq1_homology_series(model)
+        assert len(series) == 11 and series == sq1_homology_oracle(model)
         with pytest.raises(DegreeCapExceeded, match="^degree 12 exceeds cap 11$"):
-            sq1_homology_series(11, model)
+            model.ideal.slice(12)
 
 
 class TestSq1Formula:
@@ -743,13 +750,37 @@ class TestQuotientGenerators:
 
 class TestSq1Homology:
     def test_matches_polynomial_oracle(self):
-        assert sq1_homology_series(16) == sq1_homology_oracle(16)
+        model = bso_quotient_model("spinh", 16)
+        assert sq1_homology_series(model) == sq1_homology_oracle(model)
+
+    # the oracle reads the kind's rational generators and no relation, so
+    # a relation missing from the table, or a rational generator in the
+    # wrong degree or missing, fails here
+    @pytest.mark.parametrize("kind, max_degree", [("spin", 24), ("spinc", 24),
+                                                  ("spinh", 32)])
+    def test_every_kind_matches_its_rational_cohomology(self, kind, max_degree):
+        model = bso_quotient_model(kind, max_degree)
+        assert sq1_homology_series(model) == sq1_homology_oracle(model)
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("spin", [1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3]),
+        ("spinc", [1, 0, 1, 0, 2, 0, 2, 0, 4, 0, 4, 0, 7]),
+        ("spinh", [1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 7]),
+    ])
+    def test_oracle_is_the_rational_poincare_series(self, kind, expected):
+        # Q[p1, p2, p3], with c1 (degree 2) for spin^c and p1' (degree 4)
+        # for spin^h; built with a placeholder ideal, which it never reads
+        model = steenrod.QuotientModel(kind, 12, None)
+        assert sq1_homology_oracle(model) == expected
 
     def test_frozen_values(self):
-        assert sq1_homology_series(8) == [1, 0, 0, 0, 2, 0, 0, 0, 4]
+        model = bso_quotient_model("spinh", 8)
+        assert sq1_homology_series(model) == [1, 0, 0, 0, 2, 0, 0, 0, 4]
 
     def test_odd_degrees_vanish(self):
-        assert all(v == 0 for v in sq1_homology_series(9)[1::2])
+        for kind in ("spin", "spinc", "spinh"):
+            model = bso_quotient_model(kind, 9)
+            assert all(v == 0 for v in sq1_homology_series(model)[1::2]), kind
 
 
 class TestMonicity:
@@ -840,7 +871,7 @@ class TestNoRingArgument:
         monkeypatch.setattr(StiefelWhitneyRing, "monomial_basis", counted)
         model = bso_quotient_model("spinh", 12)
         assert model.poincare_series() == model.free_series()
-        assert sq1_homology_series(12, model) == sq1_homology_oracle(12)
+        assert sq1_homology_series(model) == sq1_homology_oracle(model)
         assert sorted(set(calls)) == list(range(14))
 
 
