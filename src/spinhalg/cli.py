@@ -17,11 +17,13 @@ import sys
 from . import _is_digits
 
 
-# Largest --max-i/--max-j that `hp-table` accepts.  With the residue
-# method on one core of a 2-core Intel Xeon (Python 3.11.7), 60 x 60 takes
-# 1.2-1.4 s / 16 MiB end to end, and 100 x 100 (computed in process)
-# about 8 s.  Series stop at x^(2 max-j), the last power an entry reads,
-# so this cap also bounds how far any series is built.
+# Largest --max-i/--max-j that `hp-table` accepts.  On one core of a
+# 2-core Intel Xeon (Python 3.11.7), 60 x 60 takes end to end 0.30-0.40 s
+# by residue, 1.2-2.3 s by the Chebyshev recurrence, the slowest method
+# at the cap, and 0.07-0.11 s by the binomial formula, each in 15-16 MiB;
+# 100 x 100 (computed in process) takes 1.8-2.6 s by residue and 7.3-7.6 s
+# by Chebyshev.  Series stop at x^(2 max-j), the last power an entry
+# reads, so this cap also bounds how far any series is built.
 MAX_HP_INDEX = 60
 
 # Most degrees one `ktable` call prints (ten million take about a minute

@@ -3,8 +3,9 @@ coefficient changes, torsion-sphere computations, mod-k index
 arithmetic, and an algebraic double-duality check for finitely
 generated abelian groups.
 
-Q/Z is modelled as exact rationals in [0, 1) with addition mod 1; Z_k
-sits inside as the multiples of 1/k.
+The duality check pairs into Q/Z through its subgroup (1/N)Z/Z, N the
+exponent of the group, so a pairing value is its integer numerator
+mod N.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class UndeterminedExtension(ValueError):
 
 
 # --------------------------------------------------------------------------
-# coefficient rings and Q/Z arithmetic
+# coefficient rings
 # --------------------------------------------------------------------------
 
 @_value_class
@@ -63,12 +64,6 @@ class CoefficientRing:
 
     def __str__(self):
         return f"Z{self.k}" if self.tag == "Zk" else self.tag
-
-
-def qz(x: Rational) -> Fraction:
-    """Canonical representative of x in Q/Z: the fractional part in [0, 1)."""
-    f = Fraction(x)
-    return f - (f.numerator // f.denominator)
 
 
 # --------------------------------------------------------------------------
@@ -405,18 +400,19 @@ def _element_orders(factors: tuple[int, ...]) -> dict[int, int]:
 
 def dual_group(group: FGAbelianGroup) -> DualityReport:
     """Double dual of a finitely generated abelian group under the
-    rational-circle pairing, with a brute-force verification.
+    rational-circle pairing, with an order-count verification.
 
     The duality is the identity on isomorphism classes.  For the torsion
     part every homomorphism into Q/Z is liftable (there is nothing to
     lift).  The candidate generator assignments for maps Hom(A, Q/Z) ->
     Q/Z number prod n_i^2 and the homomorphisms among them |G|; both are
-    reported by formula, and tests/test_ktheory.py::brute_force_dual_group
-    enumerates them.  The verification compares the element-order
-    statistics of the dual, enumerated row by row, with those of A,
-    counted by the gcd identity of _element_orders.  Finite abelian groups
-    with the same number of elements of each order are isomorphic, so the
-    order comparison decides the isomorphism type.
+    reported by formula, and only the test oracle
+    tests/test_ktheory.py::brute_force_dual_group enumerates them.  The
+    verification walks the |G| dual rows <a, .>, takes the order of
+    each, and compares the order counts with those of A, counted by the
+    divisor identity of _element_orders.  Finite abelian groups with the
+    same number of elements of each order are isomorphic, so the order
+    comparison decides the isomorphism type.
     """
     if group.rank > 2:
         raise VerificationBoundExceeded("free rank capped at two for verification")

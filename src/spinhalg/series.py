@@ -75,9 +75,6 @@ class GradedSeries:
     def constant(self) -> Fraction:
         return self.coeffs[0]
 
-    def is_even(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
-
     def _check(self, other: "GradedSeries"):
         if self.variable_degree != other.variable_degree:
             raise ValueError("variable degrees differ")
@@ -165,15 +162,6 @@ class GradedSeries:
             inv.append(c)
         return GradedSeries._adopt(self.variable_degree, inv)
 
-    def scale_variable(self, factor: Rational) -> "GradedSeries":
-        """Substitute t -> factor * t."""
-        f = Fraction(factor)
-        out, power = [], Fraction(1)
-        for a in self.coeffs:
-            out.append(a * power)
-            power *= f
-        return GradedSeries(self.variable_degree, out)
-
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
@@ -195,7 +183,8 @@ class GradedSeries:
 
 def _sinh_series(c: Rational, trunc: int) -> GradedSeries:
     """sinh(cx)/(cx) = sum c^(2k) x^(2k) / (2k+1)!, an even series in x:
-    1/A-hat of one Chern root at c = 1/2, and 1/F(2x) at c = 1."""
+    1/A-hat of one Chern root at c = 1/2, and at c = i + 1, scaled by
+    i + 1, the factor sinh((i+1)x)/x of the residue pairing."""
     c_squared = Fraction(c) ** 2
     coeffs = [Fraction(0)] * (trunc + 1)
     for k in range(0, trunc // 2 + 1):
@@ -218,21 +207,6 @@ def cosh_sqrt_series(trunc: int) -> GradedSeries:
     The square root never materializes; cosh is even."""
     coeffs = [2 * Fraction(1, 4 ** k * factorial(2 * k)) for k in range(trunc + 1)]
     return GradedSeries(4, coeffs)
-
-
-def character_ratio_series(i: int, trunc: int) -> GradedSeries:
-    """sinh((i+1)x)/sinh(x) as an even series in x (the Chern character
-    of the weight-i bundle pulled back to the projective-space variable)."""
-    if i < 0:
-        raise ValueError("bundle index must be nonnegative")
-    return _sinh_series(i + 1, trunc).scale(i + 1) * _sinh_series(1, trunc).reciprocal()
-
-
-def hp_a_hat_class(j: int, trunc: int) -> GradedSeries:
-    """A-hat class of the j-th quaternionic projective space written in
-    the complex projective variable x: F(x)^(2j+2) / F(2x)."""
-    f = a_hat_series(trunc)
-    return f ** (2 * j + 2) * f.scale_variable(2).reciprocal()
 
 
 # --------------------------------------------------------------------------

@@ -32,9 +32,9 @@ UNIT: Monomial = ()
 # Largest Wu class degree that the CLI computes: `steenrod wu` and
 # `verify-bspinh --max-degree`, and a factor v<k> in a parsed polynomial.
 # The cost grows steeply with the degree: on one core of a 2-core Intel
-# Xeon (Python 3.11.7), `wu_classes` takes 0.4-0.6 s / 68 MiB at 40,
-# 1.1-1.2 s / 160 MiB at 44 and 2.8-2.9 s / 405 MiB at 48, and the CLI's
-# `verify-bspinh --max-degree 40 --format json` 0.51-0.53 s / 54 MiB.
+# Xeon (Python 3.11.7), `wu_classes` takes 0.5-0.6 s / 67 MiB at 40,
+# 1.3-1.7 s / 159 MiB at 44 and 3.1-5.3 s / 404 MiB at 48, and the CLI's
+# `verify-bspinh --max-degree 40 --format json` 0.6-1.0 s / 54 MiB.
 MAX_STEENROD_DEGREE = 40
 
 # Most monomials a product in a parsed polynomial may reach, bounded before
@@ -170,9 +170,6 @@ class F2Polynomial:
 
     def is_homogeneous(self) -> bool:
         return len({monomial_degree(m) for m in self.terms}) <= 1
-
-    def graded_part(self, degree: int) -> "F2Polynomial":
-        return F2Polynomial(frozenset(m for m in self.terms if monomial_degree(m) == degree))
 
     def __add__(self, other: "F2Polynomial") -> "F2Polynomial":
         return F2Polynomial(self.terms ^ other.terms)
@@ -489,10 +486,6 @@ def wu_classes(max_degree: int) -> list[F2Polynomial]:
 SteenrodMonomial = tuple[int, ...]
 
 
-def is_admissible(mono: SteenrodMonomial) -> bool:
-    return all(mono[t] >= 2 * mono[t + 1] for t in range(len(mono) - 1))
-
-
 def _normalize(mono: Iterable[int]) -> SteenrodMonomial:
     out = tuple(i for i in mono if i != 0)
     if any(i < 0 for i in out):
@@ -646,44 +639,6 @@ class GradedIdeal:
         self._slices[degree] = sl
         return sl
 
-    def rank(self, degree: int) -> int:
-        return len(self.slice(degree).rows)
-
-    def coordinates(self, p: F2Polynomial, degree: int) -> int:
-        sl = self.slice(degree)
-        bits = 0
-        for mono in p.terms:
-            # the slice indexes every monomial of its degree and no other
-            i = sl.index.get(mono)
-            if i is None:
-                raise ValueError("polynomial not homogeneous of the slice degree")
-            bits ^= 1 << i
-        return bits
-
-    def _reduced_row(self, p: F2Polynomial, caller: str) -> tuple[_Slice, int]:
-        """The slice of p's degree and p's row reduced by it: the low
-        `width` bits are the canonical coset representative, the high bits
-        the products combined on the way."""
-        if not p.is_homogeneous():
-            raise ValueError(f"{caller} expects a homogeneous polynomial")
-        degree = p.degree()
-        sl = self.slice(degree)
-        mask = (1 << sl.width) - 1
-        return sl, _reduce_row(self.coordinates(p, degree), sl.rows, sl.pivots, mask)
-
-    def reduce(self, p: F2Polynomial) -> F2Polynomial:
-        """Canonical representative of p modulo the ideal slice."""
-        if p.is_zero():
-            return p
-        sl, row = self._reduced_row(p, "reduce")
-        row &= (1 << sl.width) - 1
-        monos = []
-        while row:
-            low = row & -row
-            monos.append(sl.monomials[low.bit_length() - 1])
-            row ^= low
-        return StiefelWhitneyRing.from_monomials(monos)
-
 
 @_value_class
 class MembershipCertificate:
@@ -697,8 +652,18 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
     of the ideal; on success the certificate recombines to p exactly."""
     if p.is_zero():
         return MembershipCertificate(True, ())
-    sl, row = ideal._reduced_row(p, "membership test")
-    if row & ((1 << sl.width) - 1):
+    if not p.is_homogeneous():
+        raise ValueError("membership test expects a homogeneous polynomial")
+    sl = ideal.slice(p.degree())
+    # the slice indexes every monomial of its degree
+    row = 0
+    for mono in p.terms:
+        row ^= 1 << sl.index[mono]
+    # reduced, the low `width` bits are p's canonical coset representative
+    # and the high bits the products combined on the way
+    mask = (1 << sl.width) - 1
+    row = _reduce_row(row, sl.rows, sl.pivots, mask)
+    if row & mask:
         return MembershipCertificate(False)
     combo = tuple(sl.products[i]
                   for i in range((row >> sl.width).bit_length())

@@ -27,7 +27,6 @@ from spinhalg.ktheory import (
     integral_table,
     k_coefficients,
     k_coefficients_extension,
-    qz,
     zk_index,
     zk_sphere_group,
 )
@@ -355,6 +354,12 @@ def enumerated_element_orders(factors):
                 o = lcm(o, n // gcd(x, n))
         counts[o] = counts.get(o, 0) + 1
     return counts
+
+
+def qz(x):
+    """Canonical representative of x in Q/Z: the fractional part in [0, 1)."""
+    f = F(x)
+    return f - (f.numerator // f.denominator)
 
 
 def brute_force_dual_group(group):

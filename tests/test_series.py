@@ -6,22 +6,41 @@ import pytest
 import sympy
 
 from spinhalg import _numerators, series
-from spinhalg.cli import main
+from spinhalg.cli import MAX_HP_INDEX, main
 from spinhalg.ktheory import IntegralityError
 from spinhalg.series import (
     GradedSeries,
     _residue_entry,
     _sinh_series,
     a_hat_series,
-    character_ratio_series,
     chebyshev_theta,
     cosh_sqrt_series,
     genus_4manifold,
-    hp_a_hat_class,
     hp_pairing_binomial,
     hp_pairing_matrix,
     hp_pairing_residue,
 )
+
+
+def scale_variable(s, factor):
+    """Substitute t -> factor * t."""
+    return GradedSeries(s.variable_degree, [c * F(factor) ** k for k, c in enumerate(s.coeffs)])
+
+
+# The long way to the residue pairing's product, kept as its oracle:
+# ch(E_i) * A-hat(HP^j) = [sinh((i+1)x)/sinh(x)] * [F(x)^(2j+2)/F(2x)].
+
+def character_ratio_series(i, trunc):
+    """sinh((i+1)x)/sinh(x) as an even series in x (the Chern character
+    of the weight-i bundle pulled back to the projective-space variable)."""
+    return _sinh_series(i + 1, trunc).scale(i + 1) * _sinh_series(1, trunc).reciprocal()
+
+
+def hp_a_hat_class(j, trunc):
+    """A-hat class of the j-th quaternionic projective space written in
+    the complex projective variable x: F(x)^(2j+2) / F(2x)."""
+    f = a_hat_series(trunc)
+    return f ** (2 * j + 2) * scale_variable(f, 2).reciprocal()
 
 
 class TestGradedSeries:
@@ -47,7 +66,7 @@ class TestGradedSeries:
     def test_pow_and_scale_variable(self):
         t = GradedSeries(2, [1, 1, 0, 0, 0])
         assert (t ** 3).coeffs == (1, 3, 3, 1, 0)
-        doubled = t.scale_variable(2)
+        doubled = scale_variable(t, 2)
         assert doubled.coeffs == (1, 2, 0, 0, 0)
 
 
@@ -138,7 +157,7 @@ class TestAHatSeries:
             assert s.coeff(power) == value
 
     def test_even(self):
-        assert a_hat_series(20).is_even()
+        assert not any(a_hat_series(20).coeffs[1::2])
 
     def test_self_inverse_check(self):
         s = a_hat_series(16)
@@ -188,7 +207,7 @@ class TestGenus4Manifold:
     # makes the two paths disagree.
     WRONG_SERIES = {
         # t -> 2t quadruples A-hat_1: -p1/6 instead of -p1/24
-        "a_hat_series": (lambda trunc: a_hat_series(trunc).scale_variable(2),
+        "a_hat_series": (lambda trunc: scale_variable(a_hat_series(trunc), 2),
                          (1, 3, "+")),
         # halved: ch(twist) = 1 + p1/8 + ...
         "cosh_sqrt_series": (lambda trunc: cosh_sqrt_series(trunc).scale(F(1, 2)),
@@ -280,6 +299,12 @@ class TestPairingMatrixParity:
             assert hp_pairing_matrix(max_i, max_j, "chebyshev") == \
                 [[chebyshev[c] for c in row] for row in cells]
 
+    @pytest.mark.parametrize("method", ["residue", "chebyshev"])
+    def test_largest_cli_table_matches_binomial(self, method):
+        """The full table at the CLI's cap, where the series run longest."""
+        top = MAX_HP_INDEX
+        assert hp_pairing_matrix(top, top, method) == hp_pairing_matrix(top, top, "binomial")
+
     @pytest.mark.parametrize("max_i, max_j, trunc", [(6, 12, 25), (12, 5, 17), (3, 9, 30)])
     def test_explicit_truncation(self, max_i, max_j, trunc):
         """The table's entries are those of per-entry series, and of
@@ -334,7 +359,7 @@ class TestPairingMatrixParity:
             for i in range(6):
                 row = _numerators(_sinh_series(i + 1, 2 * j).scale(i + 1).coeffs)
                 value = (character_ratio_series(i, 2 * j) * f ** (2 * j + 1)
-                         * f.scale_variable(2).reciprocal()).coeff(2 * j)
+                         * scale_variable(f, 2).reciprocal()).coeff(2 * j)
                 assert value.denominator != 1, (i, j)
                 with pytest.raises(IntegralityError, match=re.escape(
                         f"pairing ({i},{j}) extracted {value}; series engine is inconsistent")):
@@ -358,7 +383,7 @@ class TestChebyshevTheta:
             assert theta.coeff(2 * j) == hp_pairing_binomial(i, j)
 
     def test_odd_coefficients_vanish(self):
-        assert chebyshev_theta(5).is_even()
+        assert not any(chebyshev_theta(5).coeffs[1::2])
 
     @pytest.mark.parametrize("i", range(21))
     def test_against_sympy(self, i):
