@@ -104,6 +104,15 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _no_float(value):
+    """value itself, unless it is a float: Fraction reads a float as its
+    binary expansion (0.1 as 3602879701896397/36028797018963968), so the
+    exact types refuse one rather than guess the rational meant."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; pass an int or a Fraction")
+    return value
+
+
 def _numerators(values) -> tuple[int, list[int]]:
     """Common denominator d of a sequence of Fractions and their integer
     numerators over d."""

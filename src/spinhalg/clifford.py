@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from . import _numerators, _value_class
+from . import _no_float, _numerators, _value_class
 
 Rational = Union[int, Fraction]
 
@@ -128,7 +128,7 @@ class CliffordElement:
         for blade, coeff in dict(terms).items():
             if not 0 <= blade < top:
                 raise ValueError(f"blade {blade:#b} invalid for {signature}")
-            c = Fraction(coeff)
+            c = Fraction(_no_float(coeff))
             if c:
                 clean[blade] = c
         # over the lcm of reduced denominators the numerators are coprime
@@ -167,10 +167,6 @@ class CliffordElement:
     @classmethod
     def zero(cls, sig: Signature) -> "CliffordElement":
         return cls(sig)
-
-    @classmethod
-    def scalar(cls, sig: Signature, value: Rational) -> "CliffordElement":
-        return cls(sig, {0: value})
 
     @classmethod
     def generator(cls, sig: Signature, i: int) -> "CliffordElement":
@@ -214,8 +210,11 @@ class CliffordElement:
 
     # -- ring operations -----------------------------------------------------
 
-    def _combine(self, other: "CliffordElement", sign: int) -> "CliffordElement":
-        """self + sign * other, over the lcm of the two denominators."""
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators;
+        NotImplemented when other is not an element."""
+        if not isinstance(other, CliffordElement):
+            return NotImplemented
         self._check(other)
         den = lcm(self._den, other._den)
         left, right = den // self._den, sign * (den // other._den)
@@ -224,10 +223,10 @@ class CliffordElement:
             out[b] = out.get(b, 0) + n * right
         return CliffordElement._reduced(self.signature, den, out)
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
+    def __add__(self, other):
         return self._combine(other, 1)
 
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
+    def __sub__(self, other):
         return self._combine(other, -1)
 
     def __neg__(self) -> "CliffordElement":
@@ -235,14 +234,16 @@ class CliffordElement:
                                       {b: -n for b, n in self._nums.items()})
 
     def scale(self, factor: Rational) -> "CliffordElement":
-        f = Fraction(factor)
+        f = Fraction(_no_float(factor))
         return CliffordElement._reduced(
             self.signature, self._den * f.denominator,
             {b: n * f.numerator for b, n in self._nums.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, CliffordElement):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         self._check(other)
         sig = self.signature
         neg_mask = (1 << sig.r) - 1
@@ -258,11 +259,6 @@ class CliffordElement:
                 else:
                     acc[blade] = get(blade, 0) + n1 * n2
         return CliffordElement._reduced(sig, self._den * other._den, acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def transpose(self) -> "CliffordElement":
         """Blade reversal e_{i1}..e_{ik} -> e_{ik}..e_{i1}.
@@ -328,11 +324,6 @@ class AlgebraDescriptor:
             raise ValueError(f"unknown base field {self.field!r}")
         if self.size < 1:
             raise ValueError("matrix size must be positive")
-
-    @property
-    def real_dimension(self) -> int:
-        d = self.size ** 2 * _FIELD_DIM[self.field]
-        return d if self.simple else 2 * d
 
     @property
     def irreducible_real_dimension(self) -> int:

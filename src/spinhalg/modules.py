@@ -5,8 +5,10 @@ over R/C/H (with the dimension-shift quotients that K-theory sees),
 scalar extension/restriction between the three base fields, graded
 tensor identities, and the bigraded indefinite-signature tables.
 
-Modules are tracked as labels plus dimensions; no matrix actions are
-ever built.  Everything downstream consumes equivalence-class data only.
+Modules are tracked as labels; fundamental_dimension reads their real
+dimensions off the normal forms of clifford.classify, and no matrix
+actions are ever built.  Everything downstream consumes
+equivalence-class data only.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ _0 = AbGroupExpr.zero()
 
 def fundamental_dimension(n: int, field: str) -> int:
     """Real dimension of the fundamental Z2-graded module over Cl_n:
-    twice an irreducible ungraded module over Cl_{n-1}.
+    twice an irreducible ungraded module over Cl_{n-1} carrying a
+    compatible field structure, read off the matrix normal form.
 
     n above MAX_CLASSIFY_N raises ValueError, as in classify.
     """
@@ -111,18 +114,10 @@ def fundamental_dimension(n: int, field: str) -> int:
         raise ValueError(f"field must be one of {FIELDS}")
     if n < 1:
         raise ValueError("graded fundamental modules are indexed from n = 1")
-    from .clifford import _check_classify_n
+    from .clifford import _check_classify_n, classify
     _check_classify_n(n)
-    return 2 * ungraded_irreducible_dimension(n - 1, field)
-
-
-def ungraded_irreducible_dimension(n: int, field: str) -> int:
-    """Real dimension of an irreducible ungraded module over Cl_n
-    carrying a compatible field structure, read off the matrix normal
-    form.  A graded fundamental module over Cl_{n+1} is twice this."""
-    from .clifford import classify
     variant = {"R": "Cl", "C": "CCl", "H": "Clh"}[field]
-    return classify(n, variant).irreducible_real_dimension
+    return 2 * classify(n - 1, variant).irreducible_real_dimension
 
 
 # --------------------------------------------------------------------------
@@ -201,10 +196,6 @@ class ModuleLabel:
             return self.n % 2 == 0
         return self.n % 4 == 0
 
-    @property
-    def real_dimension(self) -> int:
-        return fundamental_dimension(self.n, self.field)
-
     def __str__(self):
         return f"Delta_{self.n}{self.sign or ''}({self.field})"
 
@@ -222,12 +213,14 @@ def bold_selection(n: int, field: str) -> ModuleLabel:
 class ScalarChange(Enum):
     """Scalar extension (Ind) and restriction (Res) between base fields.
 
-    Value: (source field, target field, real-dimension factor)."""
+    Value: (source field, target field).  Where scalar_change applies, an
+    induction (n = 0 mod 8) doubles the real dimension of a fundamental
+    module and a restriction (n = 4 mod 8) keeps it."""
 
-    IND_R_C = ("R", "C", 2)
-    RES_C_H = ("H", "C", 1)
-    RES_R_C = ("C", "R", 1)
-    IND_C_H = ("C", "H", 2)
+    IND_R_C = ("R", "C")
+    RES_C_H = ("H", "C")
+    RES_R_C = ("C", "R")
+    IND_C_H = ("C", "H")
 
     @property
     def source(self):
@@ -236,10 +229,6 @@ class ScalarChange(Enum):
     @property
     def target(self):
         return self.value[1]
-
-    @property
-    def dimension_factor(self):
-        return self.value[2]
 
 
 _FLIP = {"+": "-", "-": "+"}
@@ -279,10 +268,6 @@ def scalar_change(label: ModuleLabel, functor: ScalarChange) -> ModuleLabel:
 class GradedProductResult:
     label: ModuleLabel
     multiplicity: int = 1  # trivial R^multiplicity factor
-
-    @property
-    def real_dimension(self) -> int:
-        return self.label.real_dimension * self.multiplicity
 
 
 def graded_product(a: ModuleLabel, b: ModuleLabel) -> GradedProductResult:

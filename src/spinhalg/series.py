@@ -19,7 +19,7 @@ from math import comb, factorial, gcd
 from operator import mul
 from typing import Sequence, Union
 
-from . import _numerators
+from . import _no_float, _numerators
 
 Rational = Union[int, Fraction]
 
@@ -36,7 +36,7 @@ class GradedSeries:
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
         object.__setattr__(self, "variable_degree", variable_degree)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(Fraction(_no_float(c)) for c in coeffs))
 
     def __setattr__(self, *args):
         raise AttributeError("GradedSeries is immutable")
@@ -83,26 +83,22 @@ class GradedSeries:
 
     # -- ring operations ---------------------------------------------------------
 
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        return GradedSeries(self.variable_degree,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "GradedSeries") -> "GradedSeries":
+    def __sub__(self, other):
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         self._check(other)
         return GradedSeries(self.variable_degree,
                             [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "GradedSeries":
-        return GradedSeries(self.variable_degree, [-a for a in self.coeffs])
-
     def scale(self, factor: Rational) -> "GradedSeries":
-        f = Fraction(factor)
+        f = Fraction(_no_float(factor))
         return GradedSeries(self.variable_degree, [f * a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, GradedSeries):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         self._check(other)
         # convolve integer numerators over the product of the common
         # denominators: one Fraction, and one gcd, per nonzero output
@@ -118,11 +114,6 @@ class GradedSeries:
             n = sum(map(mul, a[:k + 1], b[top - k:]))
             out.append(Fraction(n, d) if n else zero)
         return GradedSeries._adopt(self.variable_degree, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, exponent: int) -> "GradedSeries":
         if exponent < 0:
@@ -213,15 +204,7 @@ def cosh_sqrt_series(trunc: int) -> GradedSeries:
 # genus of oriented 4-manifolds (self-dual / anti-self-dual twists)
 # --------------------------------------------------------------------------
 
-def _orientation_value(orientation) -> int:
-    if orientation in (1, "+", "+1"):
-        return 1
-    if orientation in (-1, "-", "-1"):
-        return -1
-    raise ValueError("orientation must be '+' or '-'")
-
-
-def genus_4manifold(signature: int, euler: int, orientation="+") -> Fraction:
+def genus_4manifold(signature: int, euler: int, orientation: str) -> Fraction:
     """Twisted A-hat genus of a closed oriented 4-manifold whose rank-3
     twist is the bundle of (anti-)self-dual two-forms.
 
@@ -229,9 +212,12 @@ def genus_4manifold(signature: int, euler: int, orientation="+") -> Fraction:
     as the integral of ch(twist) * A-hat, with A-hat_1 = a p1 read off the
     single-root A-hat series, ch(twist) = ch0 + c p1(twist) read off
     2 cosh(sqrt(p)/2), p1(twist) = p1 +- 2e and the signature convention
-    integral(p1) = 3*signature.  Both paths must agree.
+    integral(p1) = 3*signature.  Both paths must agree.  orientation is
+    '+' (self-dual) or '-' (anti-self-dual).
     """
-    o = _orientation_value(orientation)
+    if orientation not in ("+", "-"):
+        raise ValueError("orientation must be '+' or '-'")
+    o = 1 if orientation == "+" else -1
     closed_form = Fraction(signature + o * euler, 2)
 
     a = a_hat_series(2).coeff(2)
@@ -250,13 +236,10 @@ def genus_4manifold(signature: int, euler: int, orientation="+") -> Fraction:
 
 def hp_pairing_binomial(i: int, j: int) -> int:
     """Pairing of the weight-i bundle against the j-th quaternionic
-    projective space: binomial(i+j+1, i-j), zero below the diagonal."""
+    projective space: binomial(i+j+1, i-j), zero for i < j."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    k = i - j
-    if k < 0 or k > i + j + 1:
-        return 0
-    return comb(i + j + 1, k)
+    return comb(i + j + 1, i - j) if i >= j else 0
 
 
 def _residue_entry(i: int, j: int, row: tuple[int, list[int]],

@@ -171,10 +171,14 @@ class F2Polynomial:
     def is_homogeneous(self) -> bool:
         return len({monomial_degree(m) for m in self.terms}) <= 1
 
-    def __add__(self, other: "F2Polynomial") -> "F2Polynomial":
+    def __add__(self, other):
+        if not isinstance(other, F2Polynomial):
+            return NotImplemented
         return F2Polynomial(self.terms ^ other.terms)
 
-    def __mul__(self, other: "F2Polynomial") -> "F2Polynomial":
+    def __mul__(self, other):
+        if not isinstance(other, F2Polynomial):
+            return NotImplemented
         acc: set[Monomial] = set()
         for a in self.terms:
             for b in other.terms:

@@ -123,7 +123,7 @@ def test_criterion_4_clifford_property_suite():
     for sig in signatures:
         for i in range(1, sig.n + 1):
             ei = CliffordElement.generator(sig, i)
-            assert ei * ei == CliffordElement.scalar(sig, sig.generator_square(i))
+            assert ei * ei == CliffordElement(sig, {0: sig.generator_square(i)})
             for j in range(i + 1, sig.n + 1):
                 ej = CliffordElement.generator(sig, j)
                 assert (ei * ej + ej * ei).is_zero()
@@ -133,7 +133,7 @@ def test_criterion_4_clifford_property_suite():
                 continue
             sig = Signature(r, s)
             w = volume_element(sig)
-            assert w * w == CliffordElement.scalar(sig, volume_square_sign(r, s))
+            assert w * w == CliffordElement(sig, {0: volume_square_sign(r, s)})
     # definite-case sign law omega_n^2 = (-1)^(n(n+1)/2)
     for n in range(1, 11):
         assert volume_square_sign(n, 0) == (-1) ** (n * (n + 1) // 2)

@@ -17,6 +17,16 @@ from spinhalg.modules import (
 )
 
 
+def dim(label):
+    """Real dimension of a fundamental module label."""
+    return fundamental_dimension(label.n, label.field)
+
+
+def product_dim(result):
+    """Real dimension of a graded product: its label times R^multiplicity."""
+    return dim(result.label) * result.multiplicity
+
+
 class TestAbGroupExpr:
     def test_canonical_order_and_str(self):
         g = AbGroupExpr((4, "Z", 2, "Z"))
@@ -229,8 +239,16 @@ class TestScalarChange:
         # dimension-level round trip: Ind doubles, Res keeps real dims
         start = ModuleLabel(n, "R", "+")
         mid = scalar_change(start, ScalarChange.IND_R_C)
-        assert mid.real_dimension == ScalarChange.IND_R_C.dimension_factor * start.real_dimension
-        assert ScalarChange.RES_R_C.dimension_factor * mid.real_dimension == 2 * start.real_dimension
+        assert dim(mid) == 2 * dim(start)
+        assert dim(scalar_change(mid, ScalarChange.IND_C_H)) == 4 * dim(start)
+
+    @pytest.mark.parametrize("n", [4, 12, 20])
+    def test_res_keeps_dimension(self, n):
+        # restriction forgets scalars: the same real space, sign flipped
+        start = ModuleLabel(n, "H", "+")
+        mid = scalar_change(start, ScalarChange.RES_C_H)
+        end = scalar_change(mid, ScalarChange.RES_R_C)
+        assert dim(start) == dim(mid) == dim(end)
 
     def test_bold_selections_linked_by_scalar_change(self):
         # the preferred signs are exactly the ones the functors match up
@@ -260,23 +278,23 @@ class TestGradedProduct:
     def test_dimension_audit_example(self):
         # d(3,R) * d(4,H) = 8 * 8 = 64 = d(7,H)
         out = graded_product(ModuleLabel(3, "R"), ModuleLabel(4, "H", "+"))
-        assert ModuleLabel(3, "R").real_dimension * ModuleLabel(4, "H", "+").real_dimension == 64
-        assert out.real_dimension == 64
+        assert dim(ModuleLabel(3, "R")) * dim(ModuleLabel(4, "H", "+")) == 64
+        assert product_dim(out) == 64
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_dimension_multiplicativity(self, n):
-        d4h = ModuleLabel(4, "H", "+").real_dimension
-        d8r = ModuleLabel(8, "R", "+").real_dimension
+        d4h = dim(ModuleLabel(4, "H", "+"))
+        d8r = dim(ModuleLabel(8, "R", "+"))
         for field in ("R", "H"):
             sign = "+" if n % 4 == 0 else None
             a = ModuleLabel(n, field, sign)
             out = graded_product(ModuleLabel(8, "R", "+"), a)
-            assert out.real_dimension == d8r * a.real_dimension
+            assert product_dim(out) == d8r * dim(a)
         for field in ("R", "H"):
             sign = "-" if n % 4 == 0 else None
             a = ModuleLabel(n, field, sign)
             out = graded_product(a, ModuleLabel(4, "H", "+"))
-            assert out.real_dimension == a.real_dimension * d4h
+            assert product_dim(out) == dim(a) * d4h
 
     def test_unmatched_family(self):
         with pytest.raises(UnsupportedChange):

@@ -1,0 +1,82 @@
+"""The exact element types take only exact operands: a float coefficient
+or scale factor raises TypeError instead of being read as its binary
+expansion, and an operand of another type gives TypeError from Python's
+operator protocol, not an AttributeError from inside a method."""
+
+from fractions import Fraction
+
+import pytest
+
+from spinhalg.clifford import CliffordElement, Signature
+from spinhalg.series import GradedSeries
+from spinhalg.steenrod import parse_polynomial
+
+SIG = Signature(1, 1)
+X = CliffordElement(SIG, {0: 1, 0b11: Fraction(1, 2)})
+S = GradedSeries(2, [1, Fraction(-1, 24), 0])
+P = parse_polynomial("w2^2+w4")
+
+
+def test_clifford_refuses_a_float_coefficient():
+    with pytest.raises(TypeError, match="float"):
+        CliffordElement(SIG, {1: 0.1})
+    # an int-valued float is refused as well: no float is read at all
+    with pytest.raises(TypeError, match="float"):
+        CliffordElement(SIG, {0: 1, 1: 2.0})
+
+
+def test_clifford_scale_refuses_a_float():
+    with pytest.raises(TypeError, match="float"):
+        X.scale(0.1)
+
+
+def test_series_refuses_a_float_coefficient():
+    with pytest.raises(TypeError, match="float"):
+        GradedSeries(2, [0.1])
+    with pytest.raises(TypeError, match="float"):
+        GradedSeries(2, [1, Fraction(1, 2), 0.5])
+
+
+def test_series_scale_refuses_a_float():
+    with pytest.raises(TypeError, match="float"):
+        S.scale(0.1)
+
+
+def test_exact_scalars_still_scale():
+    assert X * 2 == X.scale(2) == X + X
+    assert X * Fraction(1, 3) == CliffordElement(SIG, {0: Fraction(1, 3), 0b11: Fraction(1, 6)})
+    assert S * Fraction(-2) == S.scale(-2) == GradedSeries(2, [-2, Fraction(1, 12), 0])
+
+
+OPERANDS = {"x": X, "s": S, "p": P, "0.5": 0.5, "None": None, "'w2'": "w2",
+            "1/2": Fraction(1, 2), "2": 2}
+FOREIGN = ("0.5", "None", "'w2'", "1/2", "2")
+CASES = [
+    # expressions whose operands are of different types; an int or a
+    # Fraction on the right of a Clifford element or a series scales it,
+    # so those are left out
+    *(f"x {op} {b}" for op in "+-" for b in FOREIGN + ("s",)),
+    *(f"x * {b}" for b in ("0.5", "None", "'w2'", "s", "p")),
+    *(f"{a} * x" for a in ("0.5", "2", "1/2")),
+    *(f"s {op} {b}" for op in "+-" for b in FOREIGN + ("x",)),
+    *(f"s * {b}" for b in ("0.5", "None", "'w2'", "x", "p")),
+    *(f"{a} * s" for a in ("0.5", "2", "1/2")),
+    *(f"p {op} {b}" for op in "+*" for b in FOREIGN + ("x", "s")),
+]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_foreign_operand_is_a_type_error(case):
+    a, op, b = case.split(" ")
+    a, b = OPERANDS[a], OPERANDS[b]
+    with pytest.raises(TypeError):
+        a + b if op == "+" else a - b if op == "-" else a * b
+
+
+def test_series_has_no_negation_or_sum():
+    # only the difference is kept, the one the Chebyshev recurrence takes
+    with pytest.raises(TypeError):
+        -S
+    with pytest.raises(TypeError):
+        S + S
+    assert S - S == GradedSeries(2, [0, 0, 0])

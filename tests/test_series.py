@@ -61,7 +61,7 @@ class TestGradedSeries:
         with pytest.raises(ValueError):
             GradedSeries(2, [1, 0]) * GradedSeries(2, [1, 0, 0])
         with pytest.raises(ValueError):
-            GradedSeries(2, [1, 0]) + GradedSeries(4, [1, 0])
+            GradedSeries(2, [1, 0]) * GradedSeries(4, [1, 0])
 
     def test_pow_and_scale_variable(self):
         t = GradedSeries(2, [1, 1, 0, 0, 0])
@@ -202,6 +202,16 @@ class TestGenus4Manifold:
     def test_orientation_validation(self):
         with pytest.raises(ValueError):
             genus_4manifold(0, 2, "x")
+
+    # '+' and '-' are the only spellings, as on the command line
+    @pytest.mark.parametrize("orientation", [1, -1, "+1", "-1", True, "", None])
+    def test_only_plus_or_minus(self, orientation):
+        with pytest.raises(ValueError, match="orientation must be"):
+            genus_4manifold(0, 2, orientation)
+
+    def test_orientation_has_no_default(self):
+        with pytest.raises(TypeError):
+            genus_4manifold(0, 2)
 
     # A wrong A-hat or twist series must reach the genus: either mutant
     # makes the two paths disagree.
