@@ -104,13 +104,23 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _no_float(value):
-    """value itself, unless it is a float: Fraction reads a float as its
-    binary expansion (0.1 as 3602879701896397/36028797018963968), so the
-    exact types refuse one rather than guess the rational meant."""
-    if isinstance(value, float):
-        raise TypeError(f"{value!r} is a float; pass an int or a Fraction")
-    return value
+def _exact_reader(fraction):
+    """The reader of exact scalars for a family, which passes its own
+    Fraction class so that `import spinhalg` loads no `fractions`.
+
+    The reader takes an int or a Fraction to a Fraction and refuses
+    anything else with TypeError: Fraction() alone also reads a float
+    (0.1 as 3602879701896397/36028797018963968), a Decimal and text, and
+    the exact types guess no rational."""
+    # int first: isinstance(an int, Fraction) would ask numbers.Rational's ABC
+    exact = (int, fraction)
+
+    def read(value):
+        if isinstance(value, exact):
+            return fraction(value)
+        raise TypeError(f"{value!r} is a {type(value).__name__}; pass an int or a Fraction")
+
+    return read
 
 
 def _numerators(values) -> tuple[int, list[int]]:

@@ -18,9 +18,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from . import _no_float, _numerators, _value_class
+from . import _exact_reader, _numerators, _value_class
 
 Rational = Union[int, Fraction]
+_fraction = _exact_reader(Fraction)
 
 
 class SignatureMismatch(ValueError):
@@ -128,7 +129,7 @@ class CliffordElement:
         for blade, coeff in dict(terms).items():
             if not 0 <= blade < top:
                 raise ValueError(f"blade {blade:#b} invalid for {signature}")
-            c = Fraction(_no_float(coeff))
+            c = _fraction(coeff)
             if c:
                 clean[blade] = c
         # over the lcm of reduced denominators the numerators are coprime
@@ -234,7 +235,7 @@ class CliffordElement:
                                       {b: -n for b, n in self._nums.items()})
 
     def scale(self, factor: Rational) -> "CliffordElement":
-        f = Fraction(_no_float(factor))
+        f = _fraction(factor)
         return CliffordElement._reduced(
             self.signature, self._den * f.denominator,
             {b: n * f.numerator for b, n in self._nums.items()})

@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Union
 
-from . import _is_digits, _value_class
+from . import _exact_reader, _is_digits, _value_class
 from .modules import _0, _Z, _Z2, AbGroupExpr, ngroup
 
 Rational = Union[int, Fraction]
+_fraction = _exact_reader(Fraction)
 
 THEORIES = ("KO", "KU", "KSp")
 
@@ -82,37 +83,15 @@ def integral_table(theory: str, n: int) -> AbGroupExpr:
     return ngroup(n % 8, _MODULE_FIELD[theory])
 
 
-def _tensor_with(group: AbGroupExpr, ring: CoefficientRing) -> AbGroupExpr:
-    parts = []
-    for token in group.summands:
-        if token == "Z":
-            if ring.tag == "Q":
-                parts.append("Q")
-            elif ring.tag == "Q/Z":
-                parts.append("Q/Z")
-            else:
-                parts.append(ring.k)
-        else:  # finite cyclic of order token
-            if ring.tag in ("Q", "Q/Z"):
-                continue
-            d = gcd(token, ring.k)
-            if d > 1:
-                parts.append(d)
-    return AbGroupExpr(tuple(parts))
+# Complexification theory_n(pt) = Z -> KU_n(pt) = Z multiplies a generator
+# by _TO_KU[theory][n % 8 // 4], for n = 0 or 4 mod 8.
+_TO_KU = {"KO": (1, 2), "KSp": (2, 1)}
 
 
-def _tor_with(group: AbGroupExpr, ring: CoefficientRing) -> AbGroupExpr:
-    if ring.tag == "Q":
-        return _0
-    parts = []
-    for token in group.torsion:
-        if ring.tag == "Q/Z":
-            parts.append(token)  # Tor(Z_m, Q/Z) = Z_m
-        else:
-            d = gcd(token, ring.k)
-            if d > 1:
-                parts.append(d)
-    return AbGroupExpr(tuple(parts))
+def _mod_k(orders, k: int) -> AbGroupExpr:
+    """Z_gcd(m, k) for each Z_m in orders, Z counting as Z_0: that is
+    both Z_m (x) Z_k and Tor(Z_m, Z_k)."""
+    return AbGroupExpr(tuple(d for d in (gcd(0 if m == "Z" else m, k) for m in orders) if d > 1))
 
 
 def _forced(sub: AbGroupExpr, quot: AbGroupExpr, split: bool) -> AbGroupExpr | None:
@@ -126,21 +105,20 @@ def _forced(sub: AbGroupExpr, quot: AbGroupExpr, split: bool) -> AbGroupExpr | N
 
 
 def _group_text(result) -> str:
-    """The group of a determined result, else its two ends."""
-    if result.determined:
-        return str(result.group)
-    return f"extension({result.quot} by {result.sub})"
+    """The group of a result, else the two ends of its extension."""
+    if result.group is None:
+        return f"extension({result.quot} by {result.sub})"
+    return str(result.group)
 
 
 @_value_class
 class CoefficientGroup:
     """Universal-coefficient answer: the group when the extension is
-    forced, otherwise the two ends with a flag."""
+    forced, otherwise None with the two ends."""
 
     theory: str
     n: int
     ring: CoefficientRing
-    determined: bool
     group: AbGroupExpr | None
     sub: AbGroupExpr
     quot: AbGroupExpr
@@ -154,22 +132,24 @@ def k_coefficients_extension(theory: str, n: int, ring: CoefficientRing) -> Coef
     base = integral_table(theory, n)
     if ring.tag == "Z":
         sub, quot = base, _0
+    elif ring.tag == "Zk":
+        sub = _mod_k(base.summands, ring.k)
+        quot = _mod_k(integral_table(theory, n - 1).torsion, ring.k)
     else:
-        sub = _tensor_with(base, ring)
-        quot = _tor_with(integral_table(theory, n - 1), ring)
+        # a divisible ring kills torsion; Tor(Z_m, Q/Z) = Z_m, Tor(Z_m, Q) = 0
+        sub = AbGroupExpr((ring.tag,) * base.rank)
+        quot = AbGroupExpr(integral_table(theory, n - 1).torsion) if ring.tag == "Q/Z" else _0
     # over Q and Q/Z the subgroup is divisible, so the sequence splits
     group = _forced(sub, quot, split=ring.tag != "Zk")
-    return CoefficientGroup(theory, n, ring, group is not None, group, sub, quot)
+    return CoefficientGroup(theory, n, ring, group, sub, quot)
 
 
-def k_coefficients(theory: str, n: int, ring: CoefficientRing | str = "Z") -> AbGroupExpr:
+def k_coefficients(theory: str, n: int, ring: str = "Z") -> AbGroupExpr:
     """Coefficient group as an abelian-group expression; raises
     UndeterminedExtension when both ends of the sequence are nonzero
     over Z_k (e.g. KO_2(pt; Z_2), which is in fact a nonsplit Z_4)."""
-    if isinstance(ring, str):
-        ring = CoefficientRing.parse(ring)
-    result = k_coefficients_extension(theory, n, ring)
-    if not result.determined:
+    result = k_coefficients_extension(theory, n, CoefficientRing.parse(ring))
+    if result.group is None:
         raise UndeterminedExtension(result.sub, result.quot)
     return result.group
 
@@ -184,7 +164,6 @@ class ZkSphereResult:
     m: int
     k: int
     star: int
-    determined: bool
     group: AbGroupExpr | None
     sub: AbGroupExpr
     quot: AbGroupExpr
@@ -204,12 +183,12 @@ def zk_sphere_group(theory: str, m: int, k: int, star: int = 0) -> ZkSphereResul
     (m-1)-spheres and a mod-k Moore part:
 
       0 -> h^{star-m+1}(pt)^(k-1) (+) (h^{star-m}(pt) (x) Z_k)
-             -> reduced h^star -> Tor(h^{star-m+1}(pt), Z_k) -> 0.
+             -> reduced h^star -> Tor(h^{star-m+1}(pt), Z_k) -> 0,
 
+    the Moore part being h_{m-star}(pt; Z_k), as h^j(pt) = h_{-j}(pt).
     When the Tor term vanishes the middle group is reported; otherwise
-    the two ends come back flagged.  For KO in dimensions divisible by
-    four the complexification map is an isomorphism (m = 0 mod 8) or
-    multiplication by two (m = 4 mod 8).
+    the two ends come back with no group.  For KO in dimensions divisible
+    by four the complexification map multiplies by _TO_KU's factor.
     """
     if theory not in ("KO", "KU"):
         raise ValueError("torsion-sphere groups computed for KO and KU")
@@ -217,18 +196,14 @@ def zk_sphere_group(theory: str, m: int, k: int, star: int = 0) -> ZkSphereResul
         raise ValueError("need m >= 2")
     if k < 2:
         raise ValueError("need k >= 2")
-    ring = CoefficientRing("Zk", k)
-    # cohomology of a point: h^j(pt) = h_{-j}(pt)
-    wedge_piece = integral_table(theory, -(star - m + 1))
-    tensor_part = _tensor_with(integral_table(theory, -(star - m)), ring)
-    tor_part = _tor_with(wedge_piece, ring)
-    sub = AbGroupExpr(wedge_piece.summands * (k - 1)) + tensor_part
+    moore = k_coefficients_extension(theory, m - star, CoefficientRing("Zk", k))
+    sub = AbGroupExpr(integral_table(theory, m - star - 1).summands * (k - 1)) + moore.sub
     comparison = None
     if theory == "KO" and star == 0 and m % 4 == 0:
-        comparison = "iso" if m % 8 == 0 else "x2"
-    group = _forced(sub, tor_part, split=False)
-    return ZkSphereResult(theory, m, k, star, group is not None, group, sub,
-                          tor_part, comparison)
+        factor = _TO_KU["KO"][m % 8 // 4]
+        comparison = "iso" if factor == 1 else f"x{factor}"
+    group = _forced(sub, moore.quot, split=False)
+    return ZkSphereResult(theory, m, k, star, group, sub, moore.quot, comparison)
 
 
 # --------------------------------------------------------------------------
@@ -250,19 +225,19 @@ class ZkIndexInput:
             raise ValueError("dimension must be divisible by four")
         if self.k < 2:
             raise ValueError("modulus must be at least two")
-        object.__setattr__(self, "integral_term", Fraction(self.integral_term))
-        object.__setattr__(self, "eta_term", Fraction(self.eta_term))
+        object.__setattr__(self, "integral_term", _fraction(self.integral_term))
+        object.__setattr__(self, "eta_term", _fraction(self.eta_term))
 
     @property
     def epsilon(self) -> int:
-        return 2 if self.n % 8 == 0 else 1
+        return _TO_KU["KSp"][self.n % 8 // 4]
 
 
 def zk_index(data: ZkIndexInput) -> int:
-    """((integral - eta) / epsilon) mod k, with epsilon = 2 in dimensions
-    divisible by eight (the quaternionic structure makes the un-reduced
-    index even) and 1 otherwise.  A non-integral quotient means the
-    inputs cannot come from an actual geometry."""
+    """((integral - eta) / epsilon) mod k, with epsilon the _TO_KU factor
+    of KSp: 2 in dimensions divisible by eight (the quaternionic structure
+    makes the un-reduced index even) and 1 otherwise.  A non-integral
+    quotient means the inputs cannot come from an actual geometry."""
     quotient = (data.integral_term - data.eta_term) / data.epsilon
     if quotient.denominator != 1:
         raise IntegralityError(
@@ -290,9 +265,10 @@ class IndexClassification:
 def aind_classify(n: int, genus_value: Rational | None = None,
                   harmonic_dim: int | None = None) -> IndexClassification:
     """Element of KSp_n(pt), read through integral_table, carried by a
-    closed manifold: the genus where the group is Z (halved, and forced
-    even, in residue 0 mod 8), the harmonic-kernel parity where it is Z2,
-    and zero otherwise.  An argument the group does not read is refused."""
+    closed manifold: the genus where the group is Z (divided by the _TO_KU
+    factor: halved, and forced even, in residue 0 mod 8), the
+    harmonic-kernel parity where it is Z2, and zero otherwise.  An
+    argument the group does not read is refused."""
     residue = n % 8
     group = integral_table("KSp", n)
     given = {"genus value": genus_value, "harmonic dimension": harmonic_dim}
@@ -303,15 +279,14 @@ def aind_classify(n: int, genus_value: Rational | None = None,
         if value is not None and name != reads:
             raise ValueError(f"residue {residue}: KSp_n(pt) = {group} does not read a {name}")
     if group == _Z:
-        g = Fraction(genus_value)
+        g = _fraction(genus_value)
         if g.denominator != 1:
             raise IntegralityError(f"genus value {g} is not an integer")
-        if residue == 0:
-            if g % 2:
-                raise IntegralityError(
-                    f"genus value {g} must be even in dimensions 0 mod 8")
-            return IndexClassification(n, group, int(g) // 2)
-        return IndexClassification(n, group, int(g))
+        factor = _TO_KU["KSp"][residue // 4]
+        if g % factor:
+            raise IntegralityError(
+                f"genus value {g} must be even in dimensions 0 mod 8")
+        return IndexClassification(n, group, int(g) // factor)
     if group == _Z2:
         if not isinstance(harmonic_dim, int) or harmonic_dim < 0:
             raise ValueError(f"harmonic dimension {harmonic_dim!r} is not a nonnegative integer")

@@ -19,9 +19,10 @@ from math import comb, factorial, gcd
 from operator import mul
 from typing import Sequence, Union
 
-from . import _no_float, _numerators
+from . import _exact_reader, _numerators
 
 Rational = Union[int, Fraction]
+_fraction = _exact_reader(Fraction)
 
 
 class GradedSeries:
@@ -36,7 +37,7 @@ class GradedSeries:
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
         object.__setattr__(self, "variable_degree", variable_degree)
-        object.__setattr__(self, "coeffs", tuple(Fraction(_no_float(c)) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_fraction, coeffs)))
 
     def __setattr__(self, *args):
         raise AttributeError("GradedSeries is immutable")
@@ -91,7 +92,7 @@ class GradedSeries:
                             [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, factor: Rational) -> "GradedSeries":
-        f = Fraction(_no_float(factor))
+        f = _fraction(factor)
         return GradedSeries(self.variable_degree, [f * a for a in self.coeffs])
 
     def __mul__(self, other):

@@ -609,7 +609,7 @@ class GradedIdeal:
     cache is the only mutation; queries afterwards are read-only.
     """
 
-    def __init__(self, generators: Iterable[F2Polynomial], degree_cap: int = 24):
+    def __init__(self, generators: Iterable[F2Polynomial], degree_cap: int):
         self.generators = [g for g in generators if not g.is_zero()]
         if not all(g.is_homogeneous() for g in self.generators):
             raise ValueError("ideal generators must be homogeneous")

@@ -657,6 +657,16 @@ class TestKtableCommand:
         assert err == f"error[ValueError]: {message}\n"
 
 
+    # ktable over three theories, five rings and three ranges, the
+    # undetermined KO Z2 entry, and zk-index in dimensions 4 to 16, each
+    # in text and json
+    @pytest.mark.parametrize("case", json.loads((GOLDEN / "ktable.json").read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_golden_output(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestZkIndexCommand:
     def test_example(self, capsys):
         code, out, _ = run(capsys, "zk-index", "--n", "8", "--k", "3",

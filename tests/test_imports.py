@@ -36,6 +36,13 @@ def test_import_loads_no_submodule():
     assert loaded == ["spinhalg"]
 
 
+def test_import_loads_no_fractions():
+    # the exact-scalar reader gets Fraction from the family that uses it
+    proc, _ = loaded_modules("before = 'fractions' in sys.modules\nimport spinhalg\n"
+                             "print(before or 'fractions' not in sys.modules)")
+    assert proc.stdout == "True\n"
+
+
 def test_first_use_loads_only_its_family():
     _, loaded = loaded_modules("import spinhalg\nspinhalg.sq")
     assert loaded == ["spinhalg", "spinhalg.steenrod"]

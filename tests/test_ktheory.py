@@ -12,8 +12,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import spinhalg
-from spinhalg.modules import AbGroupExpr, ngroup
+from spinhalg.modules import AbGroupExpr, fundamental_dimension, ngroup
 from spinhalg.ktheory import (
+    THEORIES,
     CoefficientRing,
     DualityReport,
     FGAbelianGroup,
@@ -30,7 +31,7 @@ from spinhalg.ktheory import (
     zk_index,
     zk_sphere_group,
 )
-from spinhalg.ktheory import _element_orders, _forced
+from spinhalg.ktheory import _TO_KU, _element_orders, _forced
 
 
 class TestCoefficientRing:
@@ -125,7 +126,7 @@ class TestCoefficientChanges:
         with pytest.raises(UndeterminedExtension):
             k_coefficients("KO", 2, "Z2")
         report = k_coefficients_extension("KO", 2, CoefficientRing("Zk", 2))
-        assert not report.determined
+        assert report.group is None
         assert str(report.sub) == "Z2" and str(report.quot) == "Z2"
 
     def test_forced_extension_rule(self):
@@ -147,16 +148,16 @@ class TestCoefficientChanges:
 class TestZkSphere:
     def test_ku_even(self):
         res = zk_sphere_group("KU", 6, 3)
-        assert res.determined and str(res.group) == "Z3"
+        assert res.group is not None and str(res.group) == "Z3"
 
     def test_ko_dim8_iso(self):
         res = zk_sphere_group("KO", 8, 5)
-        assert res.determined and str(res.group) == "Z5"
+        assert res.group is not None and str(res.group) == "Z5"
         assert res.complexification == "iso"
 
     def test_ko_dim12_doubling(self):
         res = zk_sphere_group("KO", 12, 4)
-        assert res.determined and str(res.group) == "Z4"
+        assert res.group is not None and str(res.group) == "Z4"
         assert res.complexification == "x2"
 
     @pytest.mark.parametrize("m,expected", [(8, "iso"), (12, "x2"), (16, "iso"), (20, "x2")])
@@ -165,7 +166,6 @@ class TestZkSphere:
 
     def test_undetermined_extension_reported(self):
         res = zk_sphere_group("KO", 2, 2)
-        assert not res.determined
         assert res.group is None
         assert not res.quot.is_zero()
 
@@ -176,6 +176,99 @@ class TestZkSphere:
             zk_sphere_group("KO", 1, 3)
         with pytest.raises(ValueError):
             zk_sphere_group("KO", 8, 1)
+
+
+# The universal-coefficient assembly as it stood before zk_sphere_group
+# read its Moore part from k_coefficients_extension: one tensor and one
+# Tor rule per ring, summand by summand.
+def old_tensor_with(group, ring):
+    parts = []
+    for token in group.summands:
+        if token == "Z":
+            if ring.tag == "Q":
+                parts.append("Q")
+            elif ring.tag == "Q/Z":
+                parts.append("Q/Z")
+            else:
+                parts.append(ring.k)
+        else:  # finite cyclic of order token
+            if ring.tag in ("Q", "Q/Z"):
+                continue
+            d = gcd(token, ring.k)
+            if d > 1:
+                parts.append(d)
+    return AbGroupExpr(tuple(parts))
+
+
+def old_tor_with(group, ring):
+    if ring.tag == "Q":
+        return AbGroupExpr.zero()
+    parts = []
+    for token in group.torsion:
+        if ring.tag == "Q/Z":
+            parts.append(token)  # Tor(Z_m, Q/Z) = Z_m
+        else:
+            d = gcd(token, ring.k)
+            if d > 1:
+                parts.append(d)
+    return AbGroupExpr(tuple(parts))
+
+
+def old_extension(theory, n, ring):
+    if ring.tag == "Z":
+        return integral_table(theory, n), AbGroupExpr.zero()
+    return (old_tensor_with(integral_table(theory, n), ring),
+            old_tor_with(integral_table(theory, n - 1), ring))
+
+
+def old_sphere(theory, m, k, star):
+    ring = CoefficientRing("Zk", k)
+    wedge_piece = integral_table(theory, -(star - m + 1))
+    tensor_part = old_tensor_with(integral_table(theory, -(star - m)), ring)
+    sub = AbGroupExpr(wedge_piece.summands * (k - 1)) + tensor_part
+    comparison = None
+    if theory == "KO" and star == 0 and m % 4 == 0:
+        comparison = "iso" if m % 8 == 0 else "x2"
+    return sub, old_tor_with(wedge_piece, ring), comparison
+
+
+class TestOldAssembly:
+    RINGS = [CoefficientRing.parse(text) for text in ("Z", "Q", "Q/Z", "Z2", "Z3", "Z4", "Z12")]
+
+    def test_coefficient_changes(self):
+        for theory, n, ring in itertools.product(THEORIES, range(-16, 17), self.RINGS):
+            result = k_coefficients_extension(theory, n, ring)
+            sub, quot = old_extension(theory, n, ring)
+            assert (result.sub, result.quot) == (sub, quot), (theory, n, ring)
+            split = ring.tag != "Zk" or quot.is_zero() or sub.is_zero()
+            assert result.group == (sub + quot if split else None)
+
+    @pytest.mark.parametrize("theory", ["KO", "KU"])
+    def test_torsion_spheres(self, theory):
+        for m, k, star in itertools.product(range(2, 21), range(2, 13), range(-9, 10)):
+            result = zk_sphere_group(theory, m, k, star)
+            sub, quot, comparison = old_sphere(theory, m, k, star)
+            assert (result.sub, result.quot, result.complexification) == \
+                (sub, quot, comparison), (m, k, star)
+            assert result.group == (sub + quot if sub.is_zero() or quot.is_zero() else None)
+
+
+class TestComplexification:
+    """The factor by which complexification multiplies a generator of
+    KO_n(pt) = Z or KSp_n(pt) = Z, read off the Clifford modules: an
+    irreducible real Cl_n-module is one or two irreducible complex ones
+    over R, and an irreducible quaternionic one is this many complex ones."""
+
+    @pytest.mark.parametrize("n", range(4, 65, 4))
+    def test_table_against_clifford_modules(self, n):
+        complex_dim = fundamental_dimension(n, "C")
+        ko = 2 * fundamental_dimension(n, "R") // complex_dim
+        ksp = fundamental_dimension(n, "H") // complex_dim
+        assert (_TO_KU["KO"][n % 8 // 4], _TO_KU["KSp"][n % 8 // 4]) == (ko, ksp)
+        # and the three readers of the table
+        assert ZkIndexInput(n, 3, 0, 0).epsilon == ksp
+        assert aind_classify(n, genus_value=2).value == 2 // ksp
+        assert zk_sphere_group("KO", n, 3).complexification == ("iso" if ko == 1 else f"x{ko}")
 
 
 class TestZkIndex:

@@ -1,13 +1,17 @@
-"""The exact element types take only exact operands: a float coefficient
-or scale factor raises TypeError instead of being read as its binary
-expansion, and an operand of another type gives TypeError from Python's
-operator protocol, not an AttributeError from inside a method."""
+"""The exact element types take only exact operands: a coefficient, scale
+factor or index input that is not an int or a Fraction (a float, a
+Decimal, text) raises TypeError instead of being read by Fraction(), a
+float as its binary expansion, and an operand of another type gives
+TypeError from Python's operator protocol, not an AttributeError from
+inside a method."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from spinhalg.clifford import CliffordElement, Signature
+from spinhalg.ktheory import ZkIndexInput, aind_classify
 from spinhalg.series import GradedSeries
 from spinhalg.steenrod import parse_polynomial
 
@@ -40,6 +44,34 @@ def test_series_refuses_a_float_coefficient():
 def test_series_scale_refuses_a_float():
     with pytest.raises(TypeError, match="float"):
         S.scale(0.1)
+
+
+# every place a scalar enters, each fed as value in a call that takes an
+# int or a Fraction there
+ENTRY_POINTS = {
+    "CliffordElement": lambda value: CliffordElement(SIG, {1: value}),
+    "CliffordElement.scale": lambda value: X.scale(value),
+    "GradedSeries": lambda value: GradedSeries(2, [1, value]),
+    "GradedSeries.scale": lambda value: S.scale(value),
+    "ZkIndexInput.integral_term": lambda value: ZkIndexInput(4, 3, value, 0),
+    "ZkIndexInput.eta_term": lambda value: ZkIndexInput(4, 3, 0, value),
+    "aind_classify": lambda value: aind_classify(4, value),
+}
+INEXACT = {"'1/3'": "1/3", "' 2 '": " 2 ", "Decimal('0.25')": Decimal("0.25"),
+           "Decimal(2)": Decimal(2), "0.1": 0.1, "2.0": 2.0}
+
+
+@pytest.mark.parametrize("value", INEXACT)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_only_int_and_fraction_are_read(entry, value):
+    value = INEXACT[value]
+    with pytest.raises(TypeError, match=f"is a {type(value).__name__}; pass an int or a Fraction"):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_int_and_fraction_are_read_alike(entry):
+    assert ENTRY_POINTS[entry](2) == ENTRY_POINTS[entry](Fraction(2))
 
 
 def test_exact_scalars_still_scale():

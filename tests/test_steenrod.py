@@ -338,7 +338,7 @@ class TestCanonicalMonomials:
         assert canonical(p ** e)
         assert canonical(sq(k, p * q))
         assert all(map(canonical, wu_classes(top)))
-        ideal = GradedIdeal([graded_part(q, d) for d in range(top + 1)])
+        ideal = GradedIdeal([graded_part(q, d) for d in range(top + 1)], 24)
         for d in range(top + 1):
             assert all(map(is_canonical, ideal.slice(d).monomials))
             # the degree-d part of p * q lies in the ideal of q's parts
@@ -578,7 +578,7 @@ class TestF2Elimination:
 class TestIdeals:
     def test_w5_membership(self):
         nu = wu_classes(4)
-        ideal = GradedIdeal([sq(1, nu[4])])
+        ideal = GradedIdeal([sq(1, nu[4])], 24)
         cert = ideal_membership(RING.w(5), ideal)
         assert cert.member
         # the generator itself: unit multiplier against generator 0
@@ -586,7 +586,7 @@ class TestIdeals:
 
     def test_w2_not_member(self):
         nu = wu_classes(4)
-        ideal = GradedIdeal([sq(1, nu[4])])
+        ideal = GradedIdeal([sq(1, nu[4])], 24)
         assert not ideal_membership(RING.w(2), ideal).member
 
     def test_w9_certificate(self):
@@ -614,11 +614,11 @@ class TestIdeals:
 
     def test_inhomogeneous_generator_rejected(self):
         with pytest.raises(ValueError):
-            GradedIdeal([RING.w(2) + RING.w(3)])
+            GradedIdeal([RING.w(2) + RING.w(3)], 24)
 
     def test_inhomogeneous_polynomial_rejected(self):
         # the check is what lets a slice index every monomial of p
-        ideal = GradedIdeal([RING.w(2)])
+        ideal = GradedIdeal([RING.w(2)], 24)
         with pytest.raises(ValueError, match="^membership test expects a homogeneous polynomial$"):
             ideal_membership(RING.w(2) + w(2, 2), ideal)
 

@@ -27,10 +27,10 @@ VALUES = [
     (lambda: ktheory.CoefficientRing("Zk", 4), "CoefficientRing(tag='Zk', k=4)"),
     (lambda: ktheory.k_coefficients_extension("KO", 2, ktheory.CoefficientRing("Zk", 2)),
      "CoefficientGroup(theory='KO', n=2, ring=CoefficientRing(tag='Zk', k=2), "
-     "determined=False, group=None, sub=AbGroupExpr(summands=(2,)), "
+     "group=None, sub=AbGroupExpr(summands=(2,)), "
      "quot=AbGroupExpr(summands=(2,)))"),
     (lambda: ktheory.zk_sphere_group("KO", 4, 2),
-     "ZkSphereResult(theory='KO', m=4, k=2, star=0, determined=True, "
+     "ZkSphereResult(theory='KO', m=4, k=2, star=0, "
      "group=AbGroupExpr(summands=(2,)), sub=AbGroupExpr(summands=(2,)), "
      "quot=AbGroupExpr(summands=()), complexification='x2')"),
     (lambda: ktheory.ZkIndexInput(8, 3, 6, Fraction(1, 2)),
