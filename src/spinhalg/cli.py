@@ -3,6 +3,9 @@
 Every subcommand wraps exactly one library operation family, imports only
 that family, and prints deterministically: identical flags give
 byte-identical output, so the outputs are safe to pin in golden files.
+Each handler returns its JSON payload (the dict its schema in `schemas/`
+describes) and its text or tsv output, built from the payload's strings
+where the two overlap; `main` alone picks which of the two is printed.
 Exit codes: 0 success, 2 usage error (argparse), 1 domain error from the
 library, or a reader that closed stdout before the output was written (no
 message, no traceback).
@@ -31,13 +34,6 @@ MAX_HP_INDEX = 60
 MAX_KTABLE_ENTRIES = 10_000
 
 
-def _json_dump(payload) -> str:
-    # imported here, as the handlers import their families: `--format text`
-    # runs never load json
-    import json
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -53,7 +49,7 @@ def _signature(args) -> tuple[int, int] | None:
     return None
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> tuple[dict, str]:
     from . import clifford
     signature = _signature(args)
     if signature is not None:
@@ -64,20 +60,16 @@ def _cmd_classify(args) -> str:
         if args.quaternionic:
             raise ValueError("--quaternionic applies to --r/--s, not to --n")
         desc = clifford.classify(args.n, args.variant)
-    if args.format == "json":
-        return _json_dump(desc.to_json())
-    return str(desc)
+    return {"field": desc.field, "size": desc.size, "simple": desc.simple}, str(desc)
 
 
-def _cmd_dims(args) -> str:
+def _cmd_dims(args) -> tuple[dict, str]:
     from . import modules
     value = modules.fundamental_dimension(args.n, args.field)
-    if args.format == "json":
-        return _json_dump({"n": args.n, "field": args.field, "dimension": value})
-    return str(value)
+    return {"n": args.n, "field": args.field, "dimension": value}, str(value)
 
 
-def _cmd_ngroup(args) -> str:
+def _cmd_ngroup(args) -> tuple[dict, str]:
     from . import modules
     signature = _signature(args)
     if signature is not None:
@@ -90,12 +82,11 @@ def _cmd_ngroup(args) -> str:
     else:
         group = modules.ngroup(args.n, args.field, h=args.h)
         key = {"n": args.n}
-    if args.format == "json":
-        return _json_dump({**key, "field": args.field, "group": str(group)})
-    return str(group)
+    payload = {**key, "field": args.field, "group": str(group)}
+    return payload, payload["group"]
 
 
-def _cmd_genus(args) -> str:
+def _cmd_genus(args) -> tuple[dict, str]:
     from . import series
     if (args.sig - args.euler) % 2:
         # on a closed oriented 4-manifold the signature is the Euler
@@ -105,33 +96,28 @@ def _cmd_genus(args) -> str:
             f"signature {args.sig} and Euler characteristic {args.euler} "
             "differ mod 2")
     value = series.genus_4manifold(args.sig, args.euler, args.orientation)
-    if args.format == "json":
-        return _json_dump({"signature": args.sig, "euler": args.euler,
-                           "orientation": args.orientation, "genus": str(value)})
-    return str(value)
+    payload = {"signature": args.sig, "euler": args.euler,
+               "orientation": args.orientation, "genus": str(value)}
+    return payload, payload["genus"]
 
 
-def _cmd_hp_table(args) -> str:
+def _cmd_hp_table(args) -> tuple[dict, str]:
     from . import series
     for name, value in (("max-i", args.max_i), ("max-j", args.max_j)):
         if value > MAX_HP_INDEX:
             raise ValueError(f"--{name} {value} exceeds the cap {MAX_HP_INDEX}")
     matrix = series.hp_pairing_matrix(args.max_i, args.max_j, args.method)
-    if args.format == "json":
-        return _json_dump({"max_i": args.max_i, "max_j": args.max_j,
-                           "method": args.method, "rows": "bundle index i",
-                           "cols": "projective index j", "matrix": matrix})
     sep = "\t" if args.format == "tsv" else " "
-    return "\n".join(sep.join(str(v) for v in row) for row in matrix)
+    return ({"max_i": args.max_i, "max_j": args.max_j, "method": args.method,
+             "rows": "bundle index i", "cols": "projective index j", "matrix": matrix},
+            "\n".join(sep.join(map(str, row)) for row in matrix))
 
 
-def _cmd_steenrod_sq(args) -> str:
+def _cmd_steenrod_sq(args) -> tuple[dict, str]:
     from . import steenrod
     poly = steenrod.parse_polynomial(args.poly)
-    result = steenrod.sq(args.k, poly)
-    if args.format == "json":
-        return _json_dump({"k": args.k, "input": str(poly), "result": str(result)})
-    return str(result)
+    payload = {"k": args.k, "input": str(poly), "result": str(steenrod.sq(args.k, poly))}
+    return payload, payload["result"]
 
 
 def _check_max_degree(degree: int, cap: int) -> None:
@@ -139,17 +125,15 @@ def _check_max_degree(degree: int, cap: int) -> None:
         raise ValueError(f"max degree {degree} exceeds the cap {cap}")
 
 
-def _cmd_steenrod_wu(args) -> str:
+def _cmd_steenrod_wu(args) -> tuple[dict, str]:
     from . import steenrod
     _check_max_degree(args.max_degree, steenrod.MAX_STEENROD_DEGREE)
-    nu = steenrod.wu_classes(args.max_degree)
-    if args.format == "json":
-        return _json_dump({"max_degree": args.max_degree,
-                           "classes": [str(p) for p in nu]})
-    return "\n".join(f"v{k} = {p}" for k, p in enumerate(nu))
+    classes = [str(p) for p in steenrod.wu_classes(args.max_degree)]
+    return ({"max_degree": args.max_degree, "classes": classes},
+            "\n".join(f"v{k} = {p}" for k, p in enumerate(classes)))
 
 
-def _cmd_steenrod_verify(args) -> str:
+def _cmd_steenrod_verify(args) -> tuple[dict, str]:
     from . import steenrod
     _check_max_degree(args.max_degree, steenrod.MAX_STEENROD_DEGREE)
     model = steenrod.bso_quotient_model("spinh", args.max_degree)
@@ -170,8 +154,6 @@ def _cmd_steenrod_verify(args) -> str:
         "sq1_match": homology == oracle,
         "w9_decomposable": w9_member,
     }
-    if args.format == "json":
-        return _json_dump(payload)
     lines = [
         f"quotient series      {' '.join(map(str, quotient))}",
         f"free subalgebra      {' '.join(map(str, free))}",
@@ -181,7 +163,7 @@ def _cmd_steenrod_verify(args) -> str:
         f"sq1 match            {payload['sq1_match']}",
         f"w9 decomposable      {payload['w9_decomposable']}",
     ]
-    return "\n".join(lines)
+    return payload, "\n".join(lines)
 
 
 def _ascii_digits(text: str, sep: str = "") -> bool:
@@ -226,7 +208,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return _parse_int(lo), _parse_int(hi)
 
 
-def _cmd_ktable(args) -> str:
+def _cmd_ktable(args) -> tuple[dict, str]:
     from . import ktheory
     ring = ktheory.CoefficientRing.parse(args.coeff)
     lo, hi = _parse_range(args.range)
@@ -239,39 +221,31 @@ def _cmd_ktable(args) -> str:
     for n in range(lo, hi + 1):
         result = ktheory.k_coefficients_extension(args.theory, n, ring)
         entries.append({"n": n, "group": str(result)})
-    if args.format == "json":
-        return _json_dump({"theory": args.theory, "coeff": str(ring),
-                           "entries": entries})
     sep = "\t" if args.format == "tsv" else ": "
-    return "\n".join(f"{e['n']}{sep}{e['group']}" for e in entries)
+    return ({"theory": args.theory, "coeff": str(ring), "entries": entries},
+            "\n".join(f"{e['n']}{sep}{e['group']}" for e in entries))
 
 
-def _cmd_zk_index(args) -> str:
+def _cmd_zk_index(args) -> tuple[dict, str]:
     from . import ktheory
     data = ktheory.ZkIndexInput(args.n, args.k, _parse_fraction(args.integral),
                                 _parse_fraction(args.eta))
     residue = ktheory.zk_index(data)
-    if args.format == "json":
-        return _json_dump({"n": args.n, "k": args.k,
-                           "integral": str(data.integral_term),
-                           "eta": str(data.eta_term),
-                           "epsilon": data.epsilon,
-                           "residue": residue, "modulus": args.k})
-    return f"{residue} (mod {args.k})"
+    return ({"n": args.n, "k": args.k, "integral": str(data.integral_term),
+             "eta": str(data.eta_term), "epsilon": data.epsilon,
+             "residue": residue, "modulus": args.k},
+            f"{residue} (mod {args.k})")
 
 
-def _cmd_dual(args) -> str:
+def _cmd_dual(args) -> tuple[dict, str]:
     from . import ktheory
     orders = [_parse_int(x) for x in args.torsion.split(",")] if args.torsion else []
     group = ktheory.FGAbelianGroup.from_summands(args.rank, orders)
     report = ktheory.dual_group(group)
-    if args.format == "json":
-        return _json_dump({"group": str(group), "dual": str(report.group),
-                           "verified": report.verified,
-                           "candidates": report.torsion_candidates,
-                           "valid": report.torsion_valid})
+    payload = {"group": str(group), "dual": str(report.group), "verified": report.verified,
+               "candidates": report.torsion_candidates, "valid": report.torsion_valid}
     status = "verified" if report.verified else "FAILED"
-    return f"{group} -> {report.group} [{status}]"
+    return payload, f"{payload['group']} -> {payload['dual']} [{status}]"
 
 
 # --------------------------------------------------------------------------
@@ -320,9 +294,11 @@ class _Parser(argparse.ArgumentParser):
         return namespace, lead + extras
 
 
-def _add_format(parser, *, tsv=False):
+def _add_format(parser, handler, *, tsv=False):
+    """Add --format, the last option of each subcommand, and bind its handler."""
     choices = ["text", "json"] + (["tsv"] if tsv else [])
     parser.add_argument("--format", choices=choices, default="text")
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,14 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_int_option)
     p.add_argument("--s", type=_int_option)
     p.add_argument("--quaternionic", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_classify)
+    _add_format(p, _cmd_classify)
 
     p = sub.add_parser("dims", help="fundamental graded module dimension")
     p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--field", choices=["R", "C", "H"], required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dims)
+    _add_format(p, _cmd_dims)
 
     p = sub.add_parser("ngroup", help="graded module Grothendieck group")
     p.add_argument("--n", type=_int_option)
@@ -353,23 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_int_option)
     p.add_argument("--h", action="store_true",
                    help="complex modules over the quaternionified algebra")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_ngroup)
+    _add_format(p, _cmd_ngroup)
 
     p = sub.add_parser("genus", help="twisted genus of an oriented 4-manifold")
     p.add_argument("--sig", type=_int_option, required=True)
     p.add_argument("--euler", type=_int_option, required=True)
     p.add_argument("--orientation", choices=["+", "-"], required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_genus)
+    _add_format(p, _cmd_genus)
 
     p = sub.add_parser("hp-table", help="projective-space pairing matrix")
     p.add_argument("--max-i", type=_int_option, required=True, dest="max_i")
     p.add_argument("--max-j", type=_int_option, required=True, dest="max_j")
     p.add_argument("--method", choices=["binomial", "residue", "chebyshev"],
                    default="binomial")
-    _add_format(p, tsv=True)
-    p.set_defaults(handler=_cmd_hp_table)
+    _add_format(p, _cmd_hp_table, tsv=True)
 
     p = sub.add_parser("steenrod", help="mod-2 Steenrod operations")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -377,18 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("sq", help="apply a Steenrod square to a polynomial")
     q.add_argument("--k", type=_int_option, required=True)
     q.add_argument("--poly", type=str, required=True)
-    _add_format(q)
-    q.set_defaults(handler=_cmd_steenrod_sq)
+    _add_format(q, _cmd_steenrod_sq)
 
     q = ssub.add_parser("wu", help="Wu classes of the oriented universal bundle")
     q.add_argument("--max-degree", type=_int_option, required=True, dest="max_degree")
-    _add_format(q)
-    q.set_defaults(handler=_cmd_steenrod_wu)
+    _add_format(q, _cmd_steenrod_wu)
 
     q = ssub.add_parser("verify-bspinh", help="quotient-presentation verification")
     q.add_argument("--max-degree", type=_int_option, required=True, dest="max_degree")
-    _add_format(q)
-    q.set_defaults(handler=_cmd_steenrod_verify)
+    _add_format(q, _cmd_steenrod_verify)
 
     p = sub.add_parser("ktable", help="K-theory coefficient groups")
     p.add_argument("--theory", choices=["KO", "KU", "KSp"], required=True)
@@ -396,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=str, required=True,
                    help="degree range, e.g. 0..16 (use --range=-3..-1 for a negative "
                         "lower end)")
-    _add_format(p, tsv=True)
-    p.set_defaults(handler=_cmd_ktable)
+    _add_format(p, _cmd_ktable, tsv=True)
 
     p = sub.add_parser("zk-index", help="mod-k index arithmetic")
     p.add_argument("--n", type=_int_option, required=True)
@@ -406,15 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact rational, e.g. 6 or 9/2 (use --integral=-3/2 for negatives)")
     p.add_argument("--eta", type=str, default="0",
                    help="exact rational (use --eta=-5/2 form for negatives)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_zk_index)
+    _add_format(p, _cmd_zk_index)
 
     p = sub.add_parser("dual", help="double dual of a finitely generated abelian group")
     p.add_argument("--rank", type=_int_option, default=0)
     p.add_argument("--torsion", type=str, default="",
                    help="comma-separated cyclic orders, e.g. 4,6")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dual)
+    _add_format(p, _cmd_dual)
 
     return parser
 
@@ -432,11 +397,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output = args.handler(args)
+        payload, output = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         category = type(exc).__name__
         print(f"error[{category}]: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        # imported here, as the handlers import their families: `--format
+        # text` runs never load json
+        import json
+        output = json.dumps(payload, sort_keys=True, separators=(", ", ": "))
     try:
         print(output)
         sys.stdout.flush()

@@ -127,6 +127,8 @@ class CliffordElement:
         clean: dict[int, Fraction] = {}
         top = 1 << signature.n
         for blade, coeff in dict(terms).items():
+            if not isinstance(blade, int):
+                raise TypeError(f"blade {blade!r} is a {type(blade).__name__}; pass an int")
             if not 0 <= blade < top:
                 raise ValueError(f"blade {blade:#b} invalid for {signature}")
             c = _fraction(coeff)
@@ -352,9 +354,6 @@ class AlgebraDescriptor:
             raise ValueError("complexification of a split complex algebra "
                              "is not a one- or two-factor normal form")
         return AlgebraDescriptor("C", self.size, simple=False)
-
-    def to_json(self) -> dict:
-        return {"field": self.field, "size": self.size, "simple": self.simple}
 
     def __str__(self):
         one = self.field if self.size == 1 else f"{self.field}({self.size})"

@@ -221,6 +221,10 @@ class ZkIndexInput:
     eta_term: Fraction
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise TypeError(f"{name} = {value!r} is a {type(value).__name__}; pass an int")
         if self.n % 4 != 0:
             raise ValueError("dimension must be divisible by four")
         if self.k < 2:

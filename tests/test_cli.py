@@ -786,6 +786,16 @@ class TestDualCommand:
                 == (0, "Z+Z -> Z+Z [verified]\n", ""))
 
 
+class TestSubcommandGolden:
+    # classify (both forms), dims, ngroup (with --h and --r/--s), genus,
+    # dual and steenrod sq/wu, each in text and json with a domain error
+    @pytest.mark.parametrize("case", json.loads((GOLDEN / "cli.json").read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_golden_output(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestIntegerOptions:
     # argparse's type=int also reads other scripts' digits (U+0663 is
     # Arabic-Indic three, U+FF14 fullwidth four) and underscores

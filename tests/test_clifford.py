@@ -579,10 +579,6 @@ def reference_graded_tensor_check(m, n):
 
 
 class TestDescriptor:
-    def test_json_shape(self):
-        d = classify(6, "Clh")
-        assert d.to_json() == {"field": "H", "size": 8, "simple": True}
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             AlgebraDescriptor("Q", 2)

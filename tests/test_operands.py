@@ -5,6 +5,7 @@ float as its binary expansion, and an operand of another type gives
 TypeError from Python's operator protocol, not an AttributeError from
 inside a method."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -72,6 +73,25 @@ def test_only_int_and_fraction_are_read(entry, value):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_int_and_fraction_are_read_alike(entry):
     assert ENTRY_POINTS[entry](2) == ENTRY_POINTS[entry](Fraction(2))
+
+
+# a blade key is an int bitmask: 1.0 was stored, and reading the element
+# back failed inside blade_degree
+@pytest.mark.parametrize("blade", [1.0, Fraction(1), "1"], ids=repr)
+def test_clifford_refuses_a_non_int_blade(blade):
+    message = f"blade {blade!r} is a {type(blade).__name__}; pass an int"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CliffordElement(Signature(1, 0), {blade: 1})
+
+
+# the dimension and the modulus are ints: a modulus of 2.5 gave the
+# residue 0.0, and a dimension of 8.0 failed inside epsilon
+@pytest.mark.parametrize("name, value", [("k", 2.5), ("n", 8.0), ("n", Fraction(4)),
+                                         ("k", Decimal(5)), ("n", "8")], ids=repr)
+def test_zk_index_input_refuses_a_non_int_dimension_or_modulus(name, value):
+    message = f"{name} = {value!r} is a {type(value).__name__}; pass an int"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        ZkIndexInput(**{"n": 4, "k": 5, name: value}, integral_term=5, eta_term=0)
 
 
 def test_exact_scalars_still_scale():
