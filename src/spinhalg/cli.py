@@ -143,7 +143,7 @@ def _cmd_steenrod_verify(args) -> tuple[dict, str]:
     oracle = steenrod.sq1_homology_oracle(model)
     w = steenrod.StiefelWhitneyRing.w
     w9 = w(9) + w(2) * w(7) + w(3) * w(6)
-    w9_member = args.max_degree >= 9 and steenrod.ideal_membership(w9, model.ideal).member
+    w9_member = args.max_degree >= 9 and steenrod.ideal_membership(w9, model.ideal)
     payload = {
         "max_degree": args.max_degree,
         "quotient_series": quotient,

@@ -34,7 +34,7 @@ UNIT: Monomial = ()
 # The cost grows steeply with the degree: on one core of a 2-core Intel
 # Xeon (Python 3.11.7), `wu_classes` takes 0.5-0.6 s / 67 MiB at 40,
 # 1.3-1.7 s / 159 MiB at 44 and 3.1-5.3 s / 404 MiB at 48, and the CLI's
-# `verify-bspinh --max-degree 40 --format json` 0.6-1.0 s / 54 MiB.
+# `verify-bspinh --max-degree 40 --format json` 0.6-0.9 s / 42 MiB.
 MAX_STEENROD_DEGREE = 40
 
 # Most monomials a product in a parsed polynomial may reach, bounded before
@@ -593,7 +593,7 @@ class _Slice:
                  products: list[tuple[Monomial, int]], width: int):
         self.monomials = monomials
         self.index = index
-        self.rows = rows          # reduced rows, poly bits | certificate bits
+        self.rows = rows          # reduced rows of monomial bits
         self.pivots = pivots      # pivot bit position -> row number
         self.products = products  # (multiplier, generator number)
         self.width = width        # number of monomial columns
@@ -603,10 +603,9 @@ class GradedIdeal:
     """Ideal of a Stiefel-Whitney ring given by homogeneous generators,
     with a per-degree row-reduced basis cache.
 
-    Rows are packed into Python ints: the low `width` bits are monomial
-    coordinates, the high bits track which products were combined, so
-    membership tests come with certificates for free.  Filling the slice
-    cache is the only mutation; queries afterwards are read-only.
+    Rows are packed into Python ints, one bit per monomial of the degree.
+    Filling the slice cache is the only mutation; queries afterwards are
+    read-only.
     """
 
     def __init__(self, generators: Iterable[F2Polynomial], degree_cap: int):
@@ -637,25 +636,18 @@ class GradedIdeal:
                 for mono in g.terms:
                     bits ^= 1 << index[_mono_mul(mult, mono)]
                 products.append((mult, gnum))
-                raw_rows.append(bits | (1 << (width + len(products) - 1)))
+                raw_rows.append(bits)
         rows, pivots = _echelon(raw_rows, (1 << width) - 1)
         sl = _Slice(monomials, index, rows, pivots, products, width)
         self._slices[degree] = sl
         return sl
 
 
-@_value_class
-class MembershipCertificate:
-    member: bool
-    # list of (multiplier monomial, generator index) pairs whose products sum to p
-    combination: tuple[tuple[Monomial, int], ...] = ()
-
-
-def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertificate:
-    """Decide membership of a homogeneous polynomial in the degree slice
-    of the ideal; on success the certificate recombines to p exactly."""
+def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> bool:
+    """Whether a homogeneous polynomial lies in the degree slice of the
+    ideal."""
     if p.is_zero():
-        return MembershipCertificate(True, ())
+        return True
     if not p.is_homogeneous():
         raise ValueError("membership test expects a homogeneous polynomial")
     sl = ideal.slice(p.degree())
@@ -663,21 +655,8 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> MembershipCertifica
     row = 0
     for mono in p.terms:
         row ^= 1 << sl.index[mono]
-    # reduced, the low `width` bits are p's canonical coset representative
-    # and the high bits the products combined on the way
-    mask = (1 << sl.width) - 1
-    row = _reduce_row(row, sl.rows, sl.pivots, mask)
-    if row & mask:
-        return MembershipCertificate(False)
-    combo = tuple(sl.products[i]
-                  for i in range((row >> sl.width).bit_length())
-                  if row & (1 << (sl.width + i)))
-    # replay the certificate against the original polynomial
-    check = sum((StiefelWhitneyRing.from_monomials([mult]) * ideal.generators[gnum]
-                 for mult, gnum in combo), StiefelWhitneyRing.zero())
-    if check != p:
-        raise AssertionError("certificate replay failed; row bookkeeping bug")
-    return MembershipCertificate(True, combo)
+    # reduced, the row is p's canonical coset representative
+    return not _reduce_row(row, sl.rows, sl.pivots, (1 << sl.width) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -796,7 +775,7 @@ def sq1_homology_series(model: QuotientModel) -> list[int]:
                 bits = 0
                 for image in _sq1_monomial(mono):
                     bits ^= 1 << target.index[image]
-                rows.append(_reduce_row(bits, target.rows, target.pivots, mask) & mask)
+                rows.append(_reduce_row(bits, target.rows, target.pivots, mask))
         ranks.append(len(_echelon(rows, mask)[0]))
     # kernel out of degree d minus the image into it
     return [sl.width - len(sl.rows) - ranks[d + 1] - ranks[d]

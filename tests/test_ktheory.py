@@ -95,6 +95,32 @@ class TestIntegralTables:
             k_coefficients("KX", 0)
 
 
+# Anderson duality shift of each theory: I_Z KO = S^4 KO (Anderson 1969;
+# Heard & Stojanoska 2014), I_Z KSp = S^4 KSp by Bott periodicity, and
+# I_Z KU = KU.
+ANDERSON_SHIFT = {"KO": 4, "KSp": 4, "KU": 0}
+
+
+class TestAndersonSelfDuality:
+    # At a point the Anderson sequence 0 -> Ext(T_{n-1}, Z) -> T_{-n-d} ->
+    # Hom(T_n, Z) -> 0 splits: T_{-n-d} = free(T_n) + tors(T_{n-1}).  Mutants
+    # of modules._KO fail it (Z2s at 2 and 3, one Z2 only, Z2 in place of
+    # KO_4 = Z, Z4 at 2), but KSp's table put in place of _KO passes, so
+    # this test cannot tell KO from KSp; the literal tables of
+    # TestIntegralTables do.
+    @pytest.mark.parametrize("theory", sorted(ANDERSON_SHIFT))
+    @pytest.mark.parametrize("n", range(-16, 17))
+    def test_table_is_anderson_self_dual(self, theory, n):
+        d = ANDERSON_SHIFT[theory]
+        degree_n, below = integral_table(theory, n), integral_table(theory, n - 1)
+        dual = integral_table(theory, -n - d)
+        assert dual == AbGroupExpr.free(degree_n.rank) + AbGroupExpr(below.torsion)
+        # the torsion half read through the Q/Z pairing of dual_group
+        report = dual_group(FGAbelianGroup.from_summands(0, below.torsion))
+        assert report.verified
+        assert report.group.torsion == FGAbelianGroup.from_summands(0, dual.torsion).torsion
+
+
 class TestCoefficientChanges:
     def test_ksp_qz_display(self):
         assert [str(k_coefficients("KSp", n, "Q/Z")) for n in range(16)] == KSP_QZ_0_15

@@ -318,6 +318,42 @@ def canonical(p):
     return all(map(is_canonical, p.terms))
 
 
+def solve_membership(p, ideal):
+    """An independent oracle for ideal_membership: the products of p's
+    slice, (multiplier, generator number) pairs, whose sum is p, or None
+    when p is not in the ideal.
+
+    Gaussian elimination on the products as sets of monomials, each tagged
+    with the products it sums, pivoting on its largest monomial; the
+    solution is replayed with F2Polynomial products."""
+    if p.is_zero():
+        return ()
+    products = ideal.slice(p.degree()).products
+    basis = {}  # largest monomial -> (monomials, product numbers)
+
+    def reduce(terms, tags):
+        # a basis entry has no monomial above its pivot, so clearing the
+        # pivots from the top down sets none back
+        for lead in sorted(basis, reverse=True):
+            if lead in terms:
+                terms, tags = terms ^ basis[lead][0], tags ^ basis[lead][1]
+        return terms, tags
+
+    for i, (mult, gnum) in enumerate(products):
+        terms, tags = reduce((RING.from_monomials([mult]) * ideal.generators[gnum]).terms,
+                             frozenset({i}))
+        if terms:
+            basis[max(terms)] = (terms, tags)
+    terms, tags = reduce(p.terms, frozenset())
+    if terms:
+        return None
+    combination = tuple(products[i] for i in sorted(tags))
+    replay = sum((RING.from_monomials([mult]) * ideal.generators[gnum]
+                  for mult, gnum in combination), RING.zero())
+    assert replay == p
+    return combination
+
+
 # polynomial texts with factors w<i>^e and v<k>^e, exponent 0 included
 factor_texts = st.builds("{}{}^{}".format, st.sampled_from("wv"), st.integers(0, 10),
                          st.integers(0, 3))
@@ -341,10 +377,12 @@ class TestCanonicalMonomials:
         ideal = GradedIdeal([graded_part(q, d) for d in range(top + 1)], 24)
         for d in range(top + 1):
             assert all(map(is_canonical, ideal.slice(d).monomials))
-            # the degree-d part of p * q lies in the ideal of q's parts
-            certificate = ideal_membership(graded_part(p * q, d), ideal)
-            assert certificate.member
-            assert all(is_canonical(mult) for mult, _ in certificate.combination)
+            # the degree-d part of p * q lies in the ideal of q's parts,
+            # a sum of products with canonical multipliers
+            part = graded_part(p * q, d)
+            assert ideal_membership(part, ideal)
+            assert solve_membership(part, ideal) is not None
+            assert all(is_canonical(mult) for mult, _ in ideal.slice(d).products)
 
 
 def cartan_bound(k, p):
@@ -553,9 +591,9 @@ def row_space(rows):
 
 class TestF2Elimination:
     def test_against_the_enumerated_row_space(self):
-        # random rows carry a certificate bit above the mask, as in a
-        # slice: _echelon keeps rank-many rows, and _reduce_row clears every
-        # pivot column, removing a sum of rows that its certificate names
+        # random rows carry one tag bit each above the mask, where bits
+        # ride along: _echelon keeps rank-many rows, and _reduce_row clears
+        # every pivot column, removing a sum of rows that its tags name
         rng = random.Random(12)
         for case in range(300):
             width, count = rng.randint(1, 16), rng.randint(0, 12)
@@ -576,24 +614,26 @@ class TestF2Elimination:
 
 
 class TestIdeals:
+    # solve_membership, an elimination of its own that replays what it
+    # solves, checks the answers of the first three tests and the battery
     def test_w5_membership(self):
         nu = wu_classes(4)
         ideal = GradedIdeal([sq(1, nu[4])], 24)
-        cert = ideal_membership(RING.w(5), ideal)
-        assert cert.member
+        assert ideal_membership(RING.w(5), ideal)
         # the generator itself: unit multiplier against generator 0
-        assert cert.combination == (((), 0),)
+        assert solve_membership(RING.w(5), ideal) == (((), 0),)
 
     def test_w2_not_member(self):
         nu = wu_classes(4)
         ideal = GradedIdeal([sq(1, nu[4])], 24)
-        assert not ideal_membership(RING.w(2), ideal).member
+        assert not ideal_membership(RING.w(2), ideal)
+        assert solve_membership(RING.w(2), ideal) is None
 
     def test_w9_certificate(self):
         model = bso_quotient_model("spinh", 12)
         target = RING.w(9) + w(2, 7) + w(3, 6)
-        cert = ideal_membership(target, model.ideal)
-        assert cert.member
+        assert ideal_membership(target, model.ideal)
+        assert solve_membership(target, model.ideal) is not None
 
     def test_sq1_nu8_leading_term(self):
         # Sq1 v8 = w9 + decomposables, and both relation generators sit
@@ -604,8 +644,8 @@ class TestIdeals:
         decomposables = relation + RING.w(9)
         assert all(len(m) > 1 or m[0][1] > 1 for m in decomposables.terms)
         model = bso_quotient_model("spinh", 12)
-        assert ideal_membership(relation, model.ideal).member
-        assert ideal_membership(sq(1, nu[4]), model.ideal).member
+        assert ideal_membership(relation, model.ideal)
+        assert ideal_membership(sq(1, nu[4]), model.ideal)
 
     def test_degree_cap(self):
         ideal = GradedIdeal([RING.w(2)], degree_cap=6)
@@ -633,15 +673,16 @@ class TestIdeals:
             degree = rng.randint(2, 14)
             basis = RING.monomial_basis(degree)
             p = RING.from_monomials(rng.sample(basis, rng.randint(1, min(4, len(basis)))))
-            member = ideal_membership(p, ideal).member
+            member = ideal_membership(p, ideal)
+            assert member == (solve_membership(p, ideal) is not None)
             members += member
             gens = [g for g in ideal.generators
                     if RING.monomial_basis(degree - g.degree())]
             if gens:
                 g = rng.choice(gens)
                 product = RING.from_monomials([rng.choice(RING.monomial_basis(degree - g.degree()))]) * g
-                assert ideal_membership(product, ideal).member
-                assert ideal_membership(p + product, ideal).member == member
+                assert ideal_membership(product, ideal)
+                assert ideal_membership(p + product, ideal) == member
                 added += 1
         assert added >= 40 and 0 < members < 80
 
@@ -720,7 +761,7 @@ class TestBeyondTheModel:
     def test_membership_above_the_cap_is_refused(self):
         model = bso_quotient_model("spinh", 10)
         relation = sq(1, wu_classes(8)[8])
-        assert ideal_membership(RING.w(2) * relation, model.ideal).member
+        assert ideal_membership(RING.w(2) * relation, model.ideal)
         with pytest.raises(DegreeCapExceeded, match="^degree 12 exceeds cap 11$"):
             ideal_membership(RING.w(3) * relation, model.ideal)
 
