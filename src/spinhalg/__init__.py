@@ -104,6 +104,13 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a value that is not an int with TypeError naming it: a float
+    or a Fraction equal to an integer is refused as well."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} = {value!r} is a {type(value).__name__}; pass an int")
+
+
 def _exact_reader(fraction):
     """The reader of exact scalars for a family, which passes its own
     Fraction class so that `import spinhalg` loads no `fractions`.

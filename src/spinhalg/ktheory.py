@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Union
 
-from . import _exact_reader, _is_digits, _value_class
+from . import _exact_reader, _is_digits, _require_int, _value_class
 from .modules import _0, _Z, _Z2, AbGroupExpr, ngroup
 
 Rational = Union[int, Fraction]
@@ -221,10 +221,8 @@ class ZkIndexInput:
     eta_term: Fraction
 
     def __post_init__(self):
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise TypeError(f"{name} = {value!r} is a {type(value).__name__}; pass an int")
+        _require_int("n", self.n)
+        _require_int("k", self.k)
         if self.n % 4 != 0:
             raise ValueError("dimension must be divisible by four")
         if self.k < 2:
@@ -310,10 +308,12 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_int("rank", self.rank)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for t in self.torsion:
+            _require_int("invariant factor", t)
             if t < 2:
                 raise ValueError("invariant factors are at least two")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -328,6 +328,7 @@ class FGAbelianGroup:
         each place and carrying the lcm on."""
         chain: list[int] = []
         for m in orders:
+            _require_int("cyclic order", m)
             if m < 1:
                 raise ValueError("cyclic orders must be positive")
             for i, f in enumerate(chain):

@@ -214,10 +214,16 @@ def genus_4manifold(signature: int, euler: int, orientation: str) -> Fraction:
     single-root A-hat series, ch(twist) = ch0 + c p1(twist) read off
     2 cosh(sqrt(p)/2), p1(twist) = p1 +- 2e and the signature convention
     integral(p1) = 3*signature.  Both paths must agree.  orientation is
-    '+' (self-dual) or '-' (anti-self-dual).
+    '+' (self-dual) or '-' (anti-self-dual).  On a closed oriented
+    4-manifold the signature is the Euler characteristic mod 2, so the
+    genus is an integer; other inputs raise IntegralityError.
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
+    if (signature - euler) % 2:
+        from .ktheory import IntegralityError
+        raise IntegralityError(
+            f"signature {signature} and Euler characteristic {euler} differ mod 2")
     o = 1 if orientation == "+" else -1
     closed_form = Fraction(signature + o * euler, 2)
 

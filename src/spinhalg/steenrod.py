@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 from typing import Iterable
 
-from . import _is_digits, _value_class
+from . import _is_digits, _require_int, _value_class
 
 # A generator w_i is its index i.  A monomial is a tuple of
 # (index, exponent) pairs sorted by index, every exponent at least 1.
@@ -104,6 +104,7 @@ class StiefelWhitneyRing:
     @staticmethod
     def w(index: int) -> "F2Polynomial":
         """The class w_index, with w0 = 1 and w1 = 0."""
+        _require_int("index", index)
         if index < 0:
             raise ValueError("generator index must be nonnegative")
         if index == 0:
@@ -555,32 +556,31 @@ def apply_operation(ops: Iterable[SteenrodMonomial], p: F2Polynomial) -> F2Polyn
 # graded ideals over F2
 # --------------------------------------------------------------------------
 
-def _reduce_row(row: int, rows: list[int], pivots: dict[int, int], mask: int) -> int:
+def _reduce_row(row: int, rows: list[int], pivots: dict[int, int]) -> int:
     # Eliminate every pivot column present, not just the leading one, so
-    # the masked part ends up a canonical coset representative.  Stored
-    # rows have their pivot as leading masked bit, so the XOR at bit b
-    # changes only lower bits, and one top-down pass over the masked bits,
-    # re-read below b after each step, clears every pivot column.
-    bits = row & mask
+    # the row ends up a canonical coset representative.  Stored rows have
+    # their pivot as leading bit, so the XOR at bit b changes only lower
+    # bits, and one top-down pass, re-read below b after each step, clears
+    # every pivot column.
+    bits = row
     while bits:
         b = bits.bit_length() - 1
         hit = pivots.get(b)
         if hit is not None:
             row ^= rows[hit]
-        bits = row & mask & ((1 << b) - 1)
+        bits = row & ((1 << b) - 1)
     return row
 
 
-def _echelon(rows: Iterable[int], mask: int) -> tuple[list[int], dict[int, int]]:
-    """Reduce F2 rows packed in ints on the columns of mask, keeping each
-    row whose masked part survives; returns the kept rows and the map
-    pivot column -> row number.  Bits outside mask ride along."""
+def _echelon(rows: Iterable[int]) -> tuple[list[int], dict[int, int]]:
+    """Reduce F2 rows packed in ints, keeping each row that survives;
+    returns the kept rows and the map pivot column -> row number."""
     kept: list[int] = []
     pivots: dict[int, int] = {}
     for row in rows:
-        row = _reduce_row(row, kept, pivots, mask)
-        if row & mask:
-            pivots[(row & mask).bit_length() - 1] = len(kept)
+        row = _reduce_row(row, kept, pivots)
+        if row:
+            pivots[row.bit_length() - 1] = len(kept)
             kept.append(row)
     return kept, pivots
 
@@ -637,7 +637,7 @@ class GradedIdeal:
                     bits ^= 1 << index[_mono_mul(mult, mono)]
                 products.append((mult, gnum))
                 raw_rows.append(bits)
-        rows, pivots = _echelon(raw_rows, (1 << width) - 1)
+        rows, pivots = _echelon(raw_rows)
         sl = _Slice(monomials, index, rows, pivots, products, width)
         self._slices[degree] = sl
         return sl
@@ -656,7 +656,7 @@ def ideal_membership(p: F2Polynomial, ideal: GradedIdeal) -> bool:
     for mono in p.terms:
         row ^= 1 << sl.index[mono]
     # reduced, the row is p's canonical coset representative
-    return not _reduce_row(row, sl.rows, sl.pivots, (1 << sl.width) - 1)
+    return not _reduce_row(row, sl.rows, sl.pivots)
 
 
 # --------------------------------------------------------------------------
@@ -768,15 +768,14 @@ def sq1_homology_series(model: QuotientModel) -> list[int]:
     slices = [ideal.slice(d) for d in range(0, model.max_degree + 2)]
     ranks = [0]
     for sl, target in zip(slices, slices[1:]):
-        mask = (1 << target.width) - 1
         rows = []
         for i, mono in enumerate(sl.monomials):
             if i not in sl.pivots:
                 bits = 0
                 for image in _sq1_monomial(mono):
                     bits ^= 1 << target.index[image]
-                rows.append(_reduce_row(bits, target.rows, target.pivots, mask))
-        ranks.append(len(_echelon(rows, mask)[0]))
+                rows.append(_reduce_row(bits, target.rows, target.pivots))
+        ranks.append(len(_echelon(rows)[0]))
     # kernel out of degree d minus the image into it
     return [sl.width - len(sl.rows) - ranks[d + 1] - ranks[d]
             for d, sl in enumerate(slices[:-1])]

@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from spinhalg.clifford import (
     CliffordElement,
     Signature,
@@ -23,6 +25,7 @@ from spinhalg.clifford import (
 from spinhalg.modules import fundamental_dimension, ngroup
 from spinhalg.ktheory import (
     FGAbelianGroup,
+    IntegralityError,
     dual_group,
     k_coefficients,
     zk_sphere_group,
@@ -165,10 +168,15 @@ def test_criterion_5_genus_values_and_grid():
     assert genus_4manifold(1, 3, "-") == -1
     # genus_4manifold recomputes the value from the A-hat and twist series
     # and raises on any disagreement, so the grid sweep is the two-path
-    # comparison
+    # comparison; where sig and euler differ mod 2 no closed oriented
+    # 4-manifold exists and the genus is refused
     for sig in range(-20, 21):
         for euler in range(-20, 21):
             for orientation in ("+", "-"):
+                if (sig - euler) % 2:
+                    with pytest.raises(IntegralityError, match="differ mod 2"):
+                        genus_4manifold(sig, euler, orientation)
+                    continue
                 value = genus_4manifold(sig, euler, orientation)
                 o = 1 if orientation == "+" else -1
                 assert value == F(sig + o * euler, 2)

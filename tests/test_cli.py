@@ -38,15 +38,22 @@ def run_subprocess(*argv, timeout=60):
 
 class TestClassifyCommand:
     def test_variant_choices_are_cliffords(self):
-        # the parser lists the names as a literal, so that it need not
-        # import clifford
-        from spinhalg import clifford
+        # the parser lists the names as literals, so that it need not
+        # import clifford, modules or ktheory; each list must be its
+        # family's
+        from spinhalg import clifford, ktheory, modules
         parser = build_parser()
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
-        variant = next(a for a in subparsers.choices["classify"]._actions
-                       if a.dest == "variant")
-        assert variant.choices == list(clifford.VARIANTS)
+
+        def choices(command, dest):
+            return next(a.choices for a in subparsers.choices[command]._actions
+                        if a.dest == dest)
+
+        assert choices("classify", "variant") == list(clifford.VARIANTS)
+        assert choices("dims", "field") == list(modules.FIELDS)
+        assert choices("ngroup", "field") == list(modules.FIELDS)
+        assert choices("ktable", "theory") == list(ktheory.THEORIES)
 
     def test_table_entry(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "6", "--variant", "Clh")

@@ -32,6 +32,7 @@ from spinhalg.ktheory import (
     zk_sphere_group,
 )
 from spinhalg.ktheory import _TO_KU, _element_orders, _forced
+from spinhalg.series import genus_4manifold
 
 
 class TestCoefficientRing:
@@ -325,6 +326,26 @@ class TestZkIndex:
         base = ZkIndexInput(8, 3, F(10), F(4))
         lifted = ZkIndexInput(8, 3 * l, F(10) * l, F(4) * l)
         assert zk_index(lifted) == (l * zk_index(base)) % (3 * l)
+
+
+# each index a geometry forces to be an integer is checked in the library,
+# and a non-integral input raises the same error everywhere
+NON_INTEGRAL = {
+    "zk_index": (lambda: zk_index(ZkIndexInput(8, 5, F(7), F(0))),
+                 "(7 - 0)/2 is not an integer"),
+    "aind_classify": (lambda: aind_classify(4, genus_value=F(1, 2)),
+                      "genus value 1/2 is not an integer"),
+    "genus_4manifold": (lambda: genus_4manifold(3, 0, "+"),
+                        "signature 3 and Euler characteristic 0 differ mod 2"),
+}
+
+
+@pytest.mark.parametrize("entry", NON_INTEGRAL)
+def test_non_integral_input_is_an_integrality_error(entry):
+    call, message = NON_INTEGRAL[entry]
+    with pytest.raises(IntegralityError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestAindClassify:

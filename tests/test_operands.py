@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from spinhalg.clifford import CliffordElement, Signature
-from spinhalg.ktheory import ZkIndexInput, aind_classify
+from spinhalg.ktheory import FGAbelianGroup, ZkIndexInput, aind_classify
 from spinhalg.series import GradedSeries
-from spinhalg.steenrod import parse_polynomial
+from spinhalg.steenrod import StiefelWhitneyRing, parse_polynomial
 
 SIG = Signature(1, 1)
 X = CliffordElement(SIG, {0: 1, 0b11: Fraction(1, 2)})
@@ -92,6 +92,30 @@ def test_zk_index_input_refuses_a_non_int_dimension_or_modulus(name, value):
     message = f"{name} = {value!r} is a {type(value).__name__}; pass an int"
     with pytest.raises(TypeError, match=re.escape(message)):
         ZkIndexInput(**{"n": 4, "k": 5, name: value}, integral_term=5, eta_term=0)
+
+
+# group ranks and orders and Stiefel-Whitney indices are ints: a rank of
+# 1.5 and an order of 4.0 built a group, and w(2.0) printed as w2.0
+NON_INT_ENTRY_POINTS = {
+    "rank": lambda value: FGAbelianGroup(value),
+    "invariant factor": lambda value: FGAbelianGroup(0, (2, value)),
+    "cyclic order": lambda value: FGAbelianGroup.from_summands(0, [2, value]),
+    "index": lambda value: StiefelWhitneyRing.w(value),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 4.0, Fraction(4), Decimal(4), "4"], ids=repr)
+@pytest.mark.parametrize("name", NON_INT_ENTRY_POINTS)
+def test_group_orders_and_class_indices_refuse_a_non_int(name, value):
+    message = f"{name} = {value!r} is a {type(value).__name__}; pass an int"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        NON_INT_ENTRY_POINTS[name](value)
+
+
+def test_group_orders_and_class_indices_take_an_int():
+    assert str(FGAbelianGroup(1, (2, 4))) == "Z+Z2+Z4"
+    assert str(FGAbelianGroup.from_summands(0, [2, 3])) == "Z6"
+    assert str(StiefelWhitneyRing.w(2)) == "w2"
 
 
 def test_exact_scalars_still_scale():

@@ -189,15 +189,26 @@ class TestGenus4Manifold:
         assert genus_4manifold(1, 3, "+") == 2
         assert genus_4manifold(1, 3, "-") == -1
 
-    def test_half_integers_allowed(self):
-        assert genus_4manifold(1, 2, "+") == F(3, 2)
+    # on a closed oriented 4-manifold the signature is the Euler
+    # characteristic mod 2, so (sig +- euler)/2 is never a half-integer
+    @pytest.mark.parametrize("sig, euler", [(1, 2), (3, 0), (0, -1), (-3, 4)])
+    def test_half_integers_refused(self, sig, euler):
+        for o in ("+", "-"):
+            with pytest.raises(IntegralityError, match=re.escape(
+                    f"signature {sig} and Euler characteristic {euler} differ mod 2")):
+                genus_4manifold(sig, euler, o)
 
     def test_grid_agreement(self):
         # both computation paths run inside genus_4manifold and must agree
+        # where sig = euler mod 2; elsewhere the genus is refused
         for sig in range(-20, 21):
             for euler in range(-20, 21, 5):
-                for o in ("+", "-"):
-                    genus_4manifold(sig, euler, o)
+                for o, sign in (("+", 1), ("-", -1)):
+                    if (sig - euler) % 2:
+                        with pytest.raises(IntegralityError):
+                            genus_4manifold(sig, euler, o)
+                    else:
+                        assert genus_4manifold(sig, euler, o) == F(sig + sign * euler, 2)
 
     def test_orientation_validation(self):
         with pytest.raises(ValueError):
