@@ -106,8 +106,9 @@ def _is_digits(text: str) -> bool:
 
 def _require_int(name: str, value) -> None:
     """Refuse a value that is not an int with TypeError naming it: a float
-    or a Fraction equal to an integer is refused as well."""
-    if not isinstance(value, int):
+    or a Fraction equal to an integer is refused as well, and so is a bool,
+    which Python counts as an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} = {value!r} is a {type(value).__name__}; pass an int")
 
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand wraps exactly one library operation family, imports only
-that family, and prints deterministically: identical flags give
-byte-identical output, so the outputs are safe to pin in golden files.
+that family, and prints deterministically: on one Python version,
+identical flags give byte-identical output, so the outputs are safe to
+pin in golden files.  argparse's usage text is not pinned: it differs
+between Python versions (3.13 wraps the top-level usage differently).
 Each handler returns its JSON payload (the dict its schema in `schemas/`
 describes) and its text or tsv output, built from the payload's strings
 where the two overlap; `main` alone picks which of the two is printed.

@@ -127,7 +127,7 @@ class CliffordElement:
         clean: dict[int, Fraction] = {}
         top = 1 << signature.n
         for blade, coeff in dict(terms).items():
-            if not isinstance(blade, int):
+            if not isinstance(blade, int) or isinstance(blade, bool):
                 raise TypeError(f"blade {blade!r} is a {type(blade).__name__}; pass an int")
             if not 0 <= blade < top:
                 raise ValueError(f"blade {blade:#b} invalid for {signature}")

@@ -19,7 +19,7 @@ from math import comb, factorial, gcd
 from operator import mul
 from typing import Sequence, Union
 
-from . import _exact_reader, _numerators
+from . import _exact_reader, _numerators, _require_int
 
 Rational = Union[int, Fraction]
 _fraction = _exact_reader(Fraction)
@@ -216,8 +216,11 @@ def genus_4manifold(signature: int, euler: int, orientation: str) -> Fraction:
     integral(p1) = 3*signature.  Both paths must agree.  orientation is
     '+' (self-dual) or '-' (anti-self-dual).  On a closed oriented
     4-manifold the signature is the Euler characteristic mod 2, so the
-    genus is an integer; other inputs raise IntegralityError.
+    genus is an integer; other inputs raise IntegralityError.  Both
+    numbers are ints: a Fraction or a bool raises TypeError.
     """
+    _require_int("signature", signature)
+    _require_int("euler", euler)
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
     if (signature - euler) % 2:

@@ -412,9 +412,16 @@ def _power_terms(index: int, e: int, i: int) -> int:
         return _count_disjoint(i, mask) - ((i - 1) & mask == 0)
     if e % 2 == 0:
         return 0 if i % 2 else _power_terms(index, e // 2, i // 2)
-    return min(sum(_power_terms(index, 1, a) * _power_terms(index, e - 1, i - a)
-                   for a in range(max(0, i - index * (e - 1)), min(i, index) + 1)),
-               MAX_CARTAN_TERMS + 1)
+    # stop once the count passes the cap, as _cartan_terms does, so that
+    # refusing a high power of a large generator stays cheap
+    total = 0
+    for a in range(max(0, i - index * (e - 1)), min(i, index) + 1):
+        left = _power_terms(index, 1, a)
+        if left:
+            total += left * _power_terms(index, e - 1, i - a)
+            if total > MAX_CARTAN_TERMS:
+                return MAX_CARTAN_TERMS + 1
+    return total
 
 
 @lru_cache(maxsize=None)

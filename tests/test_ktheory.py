@@ -191,6 +191,10 @@ class TestZkSphere:
     def test_complexification_window(self, m, expected):
         assert zk_sphere_group("KO", m, 3).complexification == expected
 
+    def test_str(self):
+        assert str(zk_sphere_group("KO", 4, 3)) == "Z3 [complexification: x2]"
+        assert str(zk_sphere_group("KO", 8, 2)) == "Z2 [complexification: iso]"
+
     def test_undetermined_extension_reported(self):
         res = zk_sphere_group("KO", 2, 2)
         assert res.group is None
@@ -354,6 +358,10 @@ class TestAindClassify:
         assert aind_classify(0, genus_value=2).value == 1
         zero = aind_classify(7)
         assert zero.group.is_zero() and zero.value == 0
+
+    def test_str(self):
+        assert str(aind_classify(4, genus_value=3)) == "3 in Z"
+        assert str(aind_classify(3)) == "0 (zero group)"
 
     def test_parities(self):
         assert aind_classify(5, harmonic_dim=3).value == 1

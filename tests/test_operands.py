@@ -13,7 +13,7 @@ import pytest
 
 from spinhalg.clifford import CliffordElement, Signature
 from spinhalg.ktheory import FGAbelianGroup, ZkIndexInput, aind_classify
-from spinhalg.series import GradedSeries
+from spinhalg.series import GradedSeries, genus_4manifold
 from spinhalg.steenrod import StiefelWhitneyRing, parse_polynomial
 
 SIG = Signature(1, 1)
@@ -76,8 +76,9 @@ def test_int_and_fraction_are_read_alike(entry):
 
 
 # a blade key is an int bitmask: 1.0 was stored, and reading the element
-# back failed inside blade_degree
-@pytest.mark.parametrize("blade", [1.0, Fraction(1), "1"], ids=repr)
+# back failed inside blade_degree; True, which Python counts as an int,
+# was the blade e1
+@pytest.mark.parametrize("blade", [1.0, Fraction(1), "1", True], ids=repr)
 def test_clifford_refuses_a_non_int_blade(blade):
     message = f"blade {blade!r} is a {type(blade).__name__}; pass an int"
     with pytest.raises(TypeError, match=re.escape(message)):
@@ -87,24 +88,31 @@ def test_clifford_refuses_a_non_int_blade(blade):
 # the dimension and the modulus are ints: a modulus of 2.5 gave the
 # residue 0.0, and a dimension of 8.0 failed inside epsilon
 @pytest.mark.parametrize("name, value", [("k", 2.5), ("n", 8.0), ("n", Fraction(4)),
-                                         ("k", Decimal(5)), ("n", "8")], ids=repr)
+                                         ("k", Decimal(5)), ("n", "8"), ("k", True)],
+                         ids=repr)
 def test_zk_index_input_refuses_a_non_int_dimension_or_modulus(name, value):
     message = f"{name} = {value!r} is a {type(value).__name__}; pass an int"
     with pytest.raises(TypeError, match=re.escape(message)):
         ZkIndexInput(**{"n": 4, "k": 5, name: value}, integral_term=5, eta_term=0)
 
 
-# group ranks and orders and Stiefel-Whitney indices are ints: a rank of
-# 1.5 and an order of 4.0 built a group, and w(2.0) printed as w2.0
+# group ranks and orders, Stiefel-Whitney indices and the signature and
+# Euler characteristic of a 4-manifold are ints: a rank of 1.5 and an order
+# of 4.0 built a group, w(2.0) printed as w2.0, and the genus of signature
+# and Euler characteristic 1/2 was 1/2.  A bool, which Python counts as an
+# int, is refused too: w(True) was 0, and a rank of True was Z
 NON_INT_ENTRY_POINTS = {
     "rank": lambda value: FGAbelianGroup(value),
     "invariant factor": lambda value: FGAbelianGroup(0, (2, value)),
     "cyclic order": lambda value: FGAbelianGroup.from_summands(0, [2, value]),
     "index": lambda value: StiefelWhitneyRing.w(value),
+    "signature": lambda value: genus_4manifold(value, 0, "+"),
+    "euler": lambda value: genus_4manifold(0, value, "+"),
 }
 
 
-@pytest.mark.parametrize("value", [1.5, 4.0, Fraction(4), Decimal(4), "4"], ids=repr)
+@pytest.mark.parametrize("value", [1.5, 4.0, Fraction(4), Fraction(1, 2), Decimal(4), "4",
+                                   True, False], ids=repr)
 @pytest.mark.parametrize("name", NON_INT_ENTRY_POINTS)
 def test_group_orders_and_class_indices_refuse_a_non_int(name, value):
     message = f"{name} = {value!r} is a {type(value).__name__}; pass an int"
@@ -116,6 +124,7 @@ def test_group_orders_and_class_indices_take_an_int():
     assert str(FGAbelianGroup(1, (2, 4))) == "Z+Z2+Z4"
     assert str(FGAbelianGroup.from_summands(0, [2, 3])) == "Z6"
     assert str(StiefelWhitneyRing.w(2)) == "w2"
+    assert genus_4manifold(1, 3, "+") == 2
 
 
 def test_exact_scalars_still_scale():

@@ -166,6 +166,10 @@ class TestAHatSeries:
     def test_inverse_x2_coefficient(self):
         assert a_hat_series(6).reciprocal().coeff(2) == F(1, 24)
 
+    def test_repr_elides_past_eight_coefficients(self):
+        assert repr(a_hat_series(10)) == (
+            "GradedSeries(deg=2, [1, 0, -1/24, 0, 7/5760, 0, -31/967680, 0, ...])")
+
 
 class TestCoshSqrtSeries:
     def test_coefficients(self):
